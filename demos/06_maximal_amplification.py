@@ -2,9 +2,10 @@
 
 Although reactivity is unbounded, the total factor a perturbation can
 gain is not: the best run enters the reactive arc at its boundary
-orthovector and exits at the other side.  The closed form and an
-independent RK4 traversal agree to many digits, and both respect the
-strict arc-geometry bounds.
+orthovector and exits at the other side.  One closed form gives the
+gain, the time it takes and the entry angle for real, repeated and
+complex spectra alike; an independent RK4 traversal agrees to many
+digits, and both respect the strict arc-geometry bounds.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 from reactlin import (
     Mat2,
     attractor_with_eigenvalues,
+    from_deltas,
     integrate_linear,
     rho_max_bound_eigen,
     rho_max_bound_ortho,
@@ -24,15 +26,15 @@ closed = rho_max_closed(a)
 numeric = rho_max_numeric(a, step=1e-4)
 
 print(f"A = [[{a.a11}, {a.a12}], [{a.a21}, {a.a22}]]")
-print(f"  closed form      rho_max = {closed.rho_max:.10f}")
-print(f"  numeric oracle   rho_max = {numeric.rho_max:.10f}")
-print(f"  achieved at t_max = {numeric.t_max:.6f} entering at angle "
-      f"{numeric.theta_entry.value:.6f}")
+print(f"  closed form      rho_max = {closed.rho_max:.10f}  t_max = {closed.t_max:.8f}")
+print(f"  numeric oracle   rho_max = {numeric.rho_max:.10f}  t_max = {numeric.t_max:.8f}")
+print(f"  entry angle: closed {closed.theta_entry.value:.6f}, "
+      f"oracle {numeric.theta_entry.value:.6f}")
 print(f"  arc-width bound     -p/m_R = {rho_max_bound_ortho(a):.6f}")
 print(f"  eigen-sep bound      p/p_R = {rho_max_bound_eigen(a):.6f}")
 print()
 
-x0 = (math.cos(numeric.theta_entry.value), math.sin(numeric.theta_entry.value))
+x0 = (math.cos(closed.theta_entry.value), math.sin(closed.theta_entry.value))
 traj = integrate_linear(a, x0, 1e-4, 2.0)
 print(f"  full trajectory from that unit start peaks at r = {traj.r.max():.6f}")
 print(f"  start point ({x0[0]:.3f}, {x0[1]:.3f}): the worst-case perturbation")
@@ -47,9 +49,12 @@ for lam1 in (-1e-1, -1e-2, -1e-3, -1e-4):
     print(f"  {lam1:10.0e} {bound:10.6f} {rho:10.6f} {bound - rho:10.6f}")
 print()
 
-spiral = Mat2(0.7, -4.0, 4.0, -4.7)
-num = rho_max_numeric(spiral, step=1e-3)
-exp = rho_max_closed(spiral, complex_mode="experimental")
-print("spiral sink (complex eigenvalues): no established closed form;")
-print(f"  numeric oracle rho_max       = {num.rho_max:.8f}")
-print(f"  experimental complex formula = {exp.rho_max:.8f}  (cross-checked)")
+print("the same formula covers complex and repeated eigenvalues:")
+for name, m in (
+    ("spiral sink", Mat2(0.7, -4.0, 4.0, -4.7)),
+    ("repeated eigenvalue", from_deltas(math.pi / 8, 0.0, 1.0)),
+):
+    c = rho_max_closed(m)
+    n = rho_max_numeric(m, step=1e-3)
+    print(f"  {name:>19}: closed rho_max = {c.rho_max:.10f}  t_max = {c.t_max:.8f}")
+    print(f"  {'':>19}  oracle rho_max = {n.rho_max:.10f}  t_max = {n.t_max:.8f}")

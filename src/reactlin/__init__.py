@@ -25,7 +25,6 @@ from .core import (
     symmetric_part_reactivity,
 )
 from .errors import (
-    ClosedFormUnavailableError,
     InapplicableError,
     InvalidInputError,
     NumericFailureError,

@@ -2,12 +2,15 @@
 
 A perturbation gains radius only while its angle is inside the reactive
 arc, and the largest total gain is earned by entering exactly at the
-arc's boundary orthovector and riding it to the far side.  Three
-equivalent closed forms give that gain from different ingredients
-(eigen/orthovalues; midlines and separations; the two arc radii), two
-strict upper bounds come from each arc radius alone, and an independent
-fixed-step RK4 oracle reproduces the value, the time it takes, and the
-entry angle.
+arc's boundary orthovector and riding it to the far side.  Integrating
+d(ln r)/d(theta) = R/T and dt/d(theta) = 1/T across the arc gives the
+gain rho_max, the time t_max it takes and the entry angle in one
+elementary real formula that covers distinct-real, repeated and
+complex (spiral) spectra alike.  The paper's three closed forms (from
+eigen/orthovalues; midlines and separations; the two arc radii) serve
+as a runtime concordance check on real spectra, two strict upper bounds
+come from each arc radius alone, and an independent fixed-step RK4
+oracle reproduces all three outputs.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -16,27 +19,15 @@ m_T >= 0 may be assumed and both orthovalues are then positive.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import (
-    AngleModPi,
-    Mat2,
-    RTParams,
-    decompose,
-    reflect_conjugate,
-)
+from .core import AngleModPi, Mat2, RTParams, decompose
 from .dynamics import default_step
-from .errors import (
-    ClosedFormUnavailableError,
-    InapplicableError,
-    InvalidInputError,
-    NumericFailureError,
-)
+from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
     Classification,
     ComplexPairEigen,
@@ -60,30 +51,28 @@ __all__ = [
 ]
 
 CONCORDANCE_RTOL = 1e-9
-CROSS_CHECK_RTOL = 1e-3
 EXIT_ANGLE_TOL = 1e-12
 MAX_STEPS = 20_000_000
 
 
 class AmplificationMethod(Enum):
-    CLOSED_LAMBDA_MU = "closed_lambda_mu"
-    CLOSED_MS = "closed_ms"
-    CLOSED_DELTAS = "closed_deltas"
+    CLOSED_ARC = "closed_arc"
     NUMERIC_SWEEP = "numeric_sweep"
 
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Maximal amplification and, for the numeric route, how it is hit.
+    """Maximal amplification and how it is hit.
 
-    rho_max is dimensionless and at least 1; t_max and theta_entry are
-    produced only by the numeric method (no closed form exists for the
-    arg max).
+    rho_max is dimensionless and at least 1; t_max is the time the
+    worst-case perturbation takes to cross the reactive arc and
+    theta_entry the boundary orthovector line it starts on.  Both
+    methods report all three.
     """
 
     rho_max: float
-    t_max: float | None
-    theta_entry: AngleModPi | None
+    t_max: float
+    theta_entry: AngleModPi
     method: AmplificationMethod
 
 
@@ -115,28 +104,34 @@ def rho_max_from_separations(delta_r: float, delta_t: float) -> float:
     return math.sqrt(base**expo * (c2t - s2r) / (c2t + s2r))
 
 
-def _rho_max_complex_midlines(m_r: float, m_t: float, p: float, p_t: float) -> float:
-    """Principal-branch evaluation of the midline form for a spiral.
+def _arc_factor(z: float) -> float:
+    """F(z) = integral_0^1 ds / (1 - z s^2), defined and smooth for z < 1.
 
-    The eigenvalue separation is imaginary; the base then has unit
-    modulus and the power collapses to a real exponential, so the
-    principal branch is the natural (but unproven) reading.
+    Its closed forms are atanh(sqrt z)/sqrt z for z > 0 and
+    atan(sqrt -z)/sqrt -z for z < 0, with the shared series
+    1 + z/3 + z^2/5 near the repeated-eigenvalue boundary z = 0.
     """
-    p_r = complex(0.0, math.sqrt(m_t * m_t - p * p))
-    base = (m_r * m_t - p_r * p_t) / (m_r * m_t + p_r * p_t)
-    val = cmath.sqrt(base ** (m_r / p_r) * (m_t + p_t) / (m_t - p_t))
-    if abs(val.imag) > 1e-9 * abs(val.real):
-        raise NumericFailureError(
-            f"complex-arithmetic amplification came out non-real: {val!r}"
-        )
-    return val.real
+    if z > 1e-8:
+        w = math.sqrt(z)
+        return math.atanh(w) / w
+    if z < -1e-8:
+        w = math.sqrt(-z)
+        return math.atan(w) / w
+    return 1.0 + z / 3.0 + z * z / 5.0
 
 
 # ---------------------------------------------------------------------------
 # applicability plumbing
 
 
-def _require_reactive_attractor(a: Mat2) -> RTParams:
+def _reactive_rt(a: Mat2) -> tuple[RTParams, bool]:
+    """Decompose once, require a reactive attractor, and reflect if needed.
+
+    Conjugating by diag(1, -1) maps (m_T, theta_R) to (-m_T, -theta_R)
+    and keeps m_R and p, so the canonical m_T >= 0 parameters come
+    straight from the first decomposition.  Returns them and whether
+    the reflection was applied.
+    """
     rt = decompose(a)
     summary = transient_summary(rt)
     if summary.classification is not Classification.REACTIVE_ATTRACTOR:
@@ -144,27 +139,28 @@ def _require_reactive_attractor(a: Mat2) -> RTParams:
             "maximal amplification is defined for reactive attractors only; "
             f"system classifies as {summary.classification.value}"
         )
-    return rt
-
-
-def _canonical_orientation(a: Mat2) -> tuple[Mat2, RTParams, bool]:
-    """Reflect if needed so m_T >= 0; solution norms are unaffected."""
-    rt = decompose(a)
     if rt.m_t < 0.0:
-        b = reflect_conjugate(a)
-        return b, decompose(b), True
-    return a, rt, False
+        assert rt.theta_r is not None
+        return RTParams(rt.m_r, -rt.m_t, rt.p, AngleModPi(-rt.theta_r.value)), True
+    return rt, False
+
+
+def _reactive_arc(rt: RTParams) -> DistinctRealOrtho:
+    ortho = ortho_structure(rt)
+    if not isinstance(ortho, DistinctRealOrtho):
+        raise InapplicableError("reactive arc is degenerate within tolerance")
+    return ortho
 
 
 def rho_max_bound_ortho(a: Mat2) -> float:
     """Strict upper bound -p/m_R = 1/cos(2 delta_R) from the arc width."""
-    rt = _require_reactive_attractor(a)
+    rt, _ = _reactive_rt(a)
     return -rt.p / rt.m_r
 
 
 def rho_max_bound_eigen(a: Mat2) -> float:
     """Weaker strict upper bound p/p_R = 1/sin(2 delta_T); real spectra only."""
-    rt = _require_reactive_attractor(a)
+    rt, _ = _reactive_rt(a)
     eig = eigen_structure(rt)
     if not isinstance(eig, DistinctRealEigen):
         raise InapplicableError(
@@ -173,68 +169,58 @@ def rho_max_bound_eigen(a: Mat2) -> float:
     return rt.p / eig.p_r
 
 
-def rho_max_closed(a: Mat2, *, complex_mode: str = "strict") -> AmplificationResult:
-    """Closed-form maximal amplification of a reactive attractor.
+def rho_max_closed(a: Mat2) -> AmplificationResult:
+    """Closed-form maximal amplification of any reactive attractor.
 
-    For real distinct eigenvalues all three formula routes are evaluated
+    With m_T >= 0, p_T = sqrt(p^2 - m_R^2) and
+    z = (p^2 - m_T^2) p_T^2 / (m_R m_T)^2,
+
+        ln rho_max = atanh(p_T/m_T) - (p_T/m_T) F(z)
+        t_max      = -p_T / (m_R m_T) F(z)
+        theta_entry = phi1 (negated back if the matrix was reflected)
+
+    where F is _arc_factor.  z < 1 and p_T < m_T both say det A > 0, so
+    the formula is defined on every reactive attractor.  For real
+    distinct eigenvalues the paper's three forms are evaluated as well
     and must agree to 1e-9 relative (an internal concordance check).
-    Complex eigenvalues are handled per complex_mode: "strict" declines
-    (the formulas' derivation is stated for real spectra), while
-    "experimental" evaluates the midline form with principal-branch
-    complex powers and cross-checks it against the numeric oracle to
-    1e-3, failing loudly on disagreement.
     """
-    if complex_mode not in ("strict", "experimental"):
-        raise InvalidInputError(f"complex_mode must be strict|experimental, got {complex_mode!r}")
-    _require_reactive_attractor(a)
-    b, rt, _ = _canonical_orientation(a)
-    ortho = ortho_structure(rt)
-    if not isinstance(ortho, DistinctRealOrtho):
-        raise InapplicableError("reactive arc is degenerate within tolerance")
+    rt, reflected = _reactive_rt(a)
+    ortho = _reactive_arc(rt)
+    m_r, m_t, p_t = rt.m_r, rt.m_t, ortho.p_t
+    # z = (p_R p_T / (m_R m_T))^2 with p_R^2 = p^2 - m_T^2 taken signed,
+    # so z > 0 for real eigenvalues and z < 0 for a spiral.  On a reactive
+    # attractor m_R < 0 < m_T keeps z finite, and both orthovalues are
+    # positive, so T > 0 across the arc and the arc integral is smooth on
+    # the connected set det A > 0.  F is smooth for every z < 1, and for
+    # z < 0 its defining integral equals the principal atan: the spiral
+    # value is the continuation of the real one, not a branch choice.
+    z = (rt.p - m_t) * (rt.p + m_t) * (p_t / (m_r * m_t)) ** 2
+    f = _arc_factor(z)
+    ratio = p_t / m_t
+    rho = math.exp(math.atanh(ratio) - ratio * f)
+    t_max = -p_t / (m_r * m_t) * f
+
     eig = eigen_structure(rt)
-
-    if isinstance(eig, ComplexPairEigen):
-        if complex_mode == "strict":
-            raise ClosedFormUnavailableError(
-                "closed-form amplification is not established for complex "
-                "eigenvalues; use the numeric oracle"
-            )
-        val = _rho_max_complex_midlines(rt.m_r, rt.m_t, rt.p, ortho.p_t)
-        oracle = rho_max_numeric(b, step=default_step(rt, 1e-3)).rho_max
-        if abs(val - oracle) > CROSS_CHECK_RTOL * oracle:
-            raise NumericFailureError(
-                f"experimental complex closed form {val} disagrees with "
-                f"numeric oracle {oracle} beyond {CROSS_CHECK_RTOL:g} relative"
-            )
-        return AmplificationResult(
-            rho_max=val, t_max=None, theta_entry=None,
-            method=AmplificationMethod.CLOSED_MS,
+    if isinstance(eig, DistinctRealEigen):
+        routes = (
+            ("eigen/ortho", rho_max_from_eigen_ortho(
+                eig.lambda1, eig.lambda2, ortho.mu1, ortho.mu2)),
+            ("midline", rho_max_from_midlines(m_r, m_t, eig.p_r, p_t)),
+            ("separation", rho_max_from_separations(ortho.delta_r, eig.delta_t)),
         )
-
-    if not isinstance(eig, DistinctRealEigen):
-        # Repeated eigenvalue: the exponent (l1+l2)/(l1-l2) degenerates
-        # to an indeterminate 1^inf; no stated formula covers it.
-        raise ClosedFormUnavailableError(
-            "closed-form amplification is indeterminate for a repeated "
-            "eigenvalue; use the numeric oracle"
-        )
-
-    v_lambda_mu = rho_max_from_eigen_ortho(
-        eig.lambda1, eig.lambda2, ortho.mu1, ortho.mu2
-    )
-    v_midlines = rho_max_from_midlines(rt.m_r, rt.m_t, eig.p_r, ortho.p_t)
-    v_deltas = rho_max_from_separations(ortho.delta_r, eig.delta_t)
-    for other, name in ((v_midlines, "midline"), (v_deltas, "separation")):
-        if abs(other - v_lambda_mu) > CONCORDANCE_RTOL * abs(v_lambda_mu):
-            raise NumericFailureError(
-                f"closed-form routes disagree: eigen/ortho {v_lambda_mu} vs "
-                f"{name} {other}"
-            )
-    if not v_lambda_mu >= 1.0 - 1e-9:
-        raise NumericFailureError(f"amplification {v_lambda_mu} fell below 1")
+        for name, other in routes:
+            if abs(other - rho) > CONCORDANCE_RTOL * rho:
+                raise NumericFailureError(
+                    f"closed-form routes disagree: arc integral {rho} vs "
+                    f"{name} {other}"
+                )
+    if not rho >= 1.0 - 1e-9:
+        raise NumericFailureError(f"amplification {rho} fell below 1")
+    entry = ortho.phi1.value
     return AmplificationResult(
-        rho_max=v_lambda_mu, t_max=None, theta_entry=None,
-        method=AmplificationMethod.CLOSED_LAMBDA_MU,
+        rho_max=rho, t_max=t_max,
+        theta_entry=AngleModPi(-entry if reflected else entry),
+        method=AmplificationMethod.CLOSED_ARC,
     )
 
 
@@ -340,11 +326,8 @@ def rho_max_numeric(
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate.
     """
-    _require_reactive_attractor(a)
-    b, rt, reflected = _canonical_orientation(a)
-    ortho = ortho_structure(rt)
-    if not isinstance(ortho, DistinctRealOrtho):
-        raise InapplicableError("reactive arc is degenerate within tolerance")
+    rt, reflected = _reactive_rt(a)
+    ortho = _reactive_arc(rt)
     if ortho.mu2 <= 0.0:
         raise NumericFailureError("orthovalues not positive after canonicalization")
     if step is None:

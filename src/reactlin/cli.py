@@ -16,13 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .amplification import (
-    AmplificationMethod,
-    rho_max_bound_eigen,
-    rho_max_bound_ortho,
-    rho_max_closed,
-    rho_max_numeric,
-)
+from .amplification import rho_max_bound_eigen, rho_max_bound_ortho, rho_max_closed
 from .core import (
     Mat2,
     decompose,
@@ -36,12 +30,7 @@ from .dynamics import (
     integrate_nonaut,
     sweep_rotation_rates,
 )
-from .errors import (
-    ClosedFormUnavailableError,
-    InapplicableError,
-    InvalidInputError,
-    NumericFailureError,
-)
+from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .forms import to_r_centered, to_r_zeroed, to_t_centered, to_t_zeroed
 from .spectra import (
     AllOrtho,
@@ -63,7 +52,7 @@ from .synthesis import (
     from_deltas,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +170,20 @@ def _form_out(builder, a: Mat2) -> dict:
     return {"matrix": _matrix_out(res.matrix), "gamma": res.gamma}
 
 
-def _amplification_out(a: Mat2, strict: bool, step, seed: int) -> dict:
-    summary = transient_summary(decompose(a))
-    assert summary.classification is Classification.REACTIVE_ATTRACTOR
+def _amplification_out(a: Mat2) -> dict:
     bounds: dict = {"ortho": rho_max_bound_ortho(a)}
     try:
         bounds["eigen"] = rho_max_bound_eigen(a)
     except InapplicableError:
         pass
-    try:
-        closed = rho_max_closed(a, complex_mode="strict")
-        out = {
-            "rho_max": closed.rho_max,
-            "method": closed.method.value,
-            "bounds": bounds,
-        }
-        return out
-    except ClosedFormUnavailableError:
-        pass
-    numeric = rho_max_numeric(a, step=step, seed=seed)
-    out = {
-        "rho_max": numeric.rho_max,
-        "method": numeric.method.value,
+    closed = rho_max_closed(a)
+    return {
+        "rho_max": closed.rho_max,
+        "method": closed.method.value,
         "bounds": bounds,
-        "t_max": numeric.t_max,
-        "theta_entry": numeric.theta_entry.value,
+        "t_max": closed.t_max,
+        "theta_entry": closed.theta_entry.value,
     }
-    if not strict:
-        # cross-checked experimental complex evaluation, reported for
-        # comparison; the numeric value above stays authoritative
-        try:
-            exp = rho_max_closed(a, complex_mode="experimental")
-            out["experimental_closed_rho_max"] = exp.rho_max
-        except ClosedFormUnavailableError:
-            pass
-    return out
 
 
 def cmd_analyze(args) -> int:
@@ -249,7 +217,7 @@ def cmd_analyze(args) -> int:
         },
     }
     if summary.classification is Classification.REACTIVE_ATTRACTOR:
-        report["amplification"] = _amplification_out(a, args.strict, args.step, args.seed)
+        report["amplification"] = _amplification_out(a)
     _emit(_json(report))
     return 0
 
@@ -382,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full JSON report for one matrix")
     _add_matrix(p)
-    p.add_argument("--strict", action="store_true",
-                   help="never evaluate the experimental complex closed form")
-    p.add_argument("--step", type=float, default=None,
-                   help="RK4 step for the numeric amplification oracle")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the oracle's start-angle sweep jitter")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("portrait", help="CSV of R, T and the unit-circle field")
@@ -450,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except InapplicableError as exc:
         _diag(str(exc))
         return 3
-    except (NumericFailureError, ClosedFormUnavailableError) as exc:
+    except NumericFailureError as exc:
         _diag(str(exc))
         return 4
 

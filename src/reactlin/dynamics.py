@@ -27,7 +27,7 @@ from .core import (
     decompose,
     rotate_conjugate,
 )
-from .errors import InapplicableError, InvalidInputError
+from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import Classification, DistinctRealOrtho, ortho_structure, transient_summary
 
 __all__ = [
@@ -83,6 +83,16 @@ def _check_grid(step: float, t_end: float) -> None:
         raise InvalidInputError(f"t_end must be a positive real, got {t_end}")
 
 
+def _check_finite(x: float, y: float, t_end: float) -> None:
+    """Raise if an integrator's final state overflowed.
+
+    The RK4 updates never turn inf or nan back into a finite number, so
+    checking the last state once covers every step at no per-step cost.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericFailureError(f"trajectory overflowed before t = {t_end!r}")
+
+
 def default_step(rt: RTParams, base: float = 1e-4) -> float:
     """Step scaled to the system's fastest rate so accuracy is uniform."""
     speed = max(abs(rt.rho1), abs(rt.rho2), abs(rt.tau1), abs(rt.tau2))
@@ -134,6 +144,7 @@ def integrate_linear(
         ts.append(t_end)
         xs.append(x)
         ys.append(y)
+    _check_finite(x, y, t_end)
     return Trajectory(
         t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4"
     )
@@ -152,24 +163,30 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     m = 0.5 * a.trace()
     d = m * m - a.det()
     x2 = d * t * t
-    if x2 > 1e-8:
-        w = math.sqrt(d)
-        c = math.cosh(w * t)
-        s = math.sinh(w * t) / w
-    elif x2 < -1e-8:
-        w = math.sqrt(-d)
-        c = math.cos(w * t)
-        s = math.sin(w * t) / w
-    else:
-        c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-        s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-    e = math.exp(m * t)
-    return Mat2(
+    try:
+        if x2 > 1e-8:
+            w = math.sqrt(d)
+            c = math.cosh(w * t)
+            s = math.sinh(w * t) / w
+        elif x2 < -1e-8:
+            w = math.sqrt(-d)
+            c = math.cos(w * t)
+            s = math.sin(w * t) / w
+        else:
+            c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
+            s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
+        e = math.exp(m * t)
+    except OverflowError as exc:
+        raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
+    entries = (
         e * (c + s * (a.a11 - m)),
         e * s * a.a12,
         e * s * a.a21,
         e * (c + s * (a.a22 - m)),
     )
+    if not all(map(math.isfinite, entries)):
+        raise NumericFailureError(f"e^(At) overflows at t = {t!r}")
+    return Mat2(*entries)
 
 
 def integrate_polar(
@@ -223,6 +240,7 @@ def integrate_polar(
         ts.append(t_end)
         xs.append(r * cos(th))
         ys.append(r * sin(th))
+    _check_finite(r, th, t_end)
     return Trajectory(
         t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4_polar"
     )
@@ -334,6 +352,7 @@ def integrate_nonaut(
         ts.append(t_end)
         xs.append(x)
         ys.append(y)
+    _check_finite(x, y, t_end)
     return Trajectory(
         t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4_nonaut"
     )

@@ -16,11 +16,6 @@ class InapplicableError(ReactlinError):
     or maximal amplification of a non-reactive attractor)."""
 
 
-class ClosedFormUnavailableError(ReactlinError):
-    """A closed-form evaluation was declined because the formula's
-    validity is not established for this case; use the numeric route."""
-
-
 class NumericFailureError(ReactlinError):
     """A numeric procedure failed to converge or an internal
     cross-check between independent routes disagreed."""

@@ -1,19 +1,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reactlin import (
     AmplificationMethod,
-    ClosedFormUnavailableError,
+    AngleModPi,
+    ComplexPairEigen,
     DistinctRealEigen,
     DistinctRealOrtho,
     InapplicableError,
     Mat2,
+    RTParams,
+    RepeatedDefectiveEigen,
     attractor_with_eigenvalues,
     decompose,
     eigen_structure,
     from_deltas,
     ortho_structure,
+    reconstruct,
     reflect_conjugate,
     rho_max_bound_eigen,
     rho_max_bound_ortho,
@@ -38,21 +43,31 @@ RHO_MAX_SPIRAL = 1.0935319103034655
 T_MAX_SPIRAL = 0.19981662989066504
 
 
+def assert_closed_matches(a: Mat2, rho_max: float, t_max: float) -> None:
+    res = rho_max_closed(a)
+    assert res.method is AmplificationMethod.CLOSED_ARC
+    assert res.rho_max == pytest.approx(rho_max, rel=1e-12)
+    assert res.t_max == pytest.approx(t_max, rel=1e-12)
+    # m_T > 0, so the worst case enters on the lower orthovector
+    assert res.theta_entry.distance(ortho_structure(decompose(a)).phi1) <= 1e-12
+
+
 class TestClosedForm:
     def test_triangular_value(self):
-        res = rho_max_closed(A_TRIANGULAR)
-        assert res.rho_max == pytest.approx(RHO_MAX_TRIANGULAR, rel=1e-12)
-        assert 1.66 <= res.rho_max <= 1.67
-        assert res.method is AmplificationMethod.CLOSED_LAMBDA_MU
-        assert res.t_max is None and res.theta_entry is None
+        assert_closed_matches(A_TRIANGULAR, RHO_MAX_TRIANGULAR, T_MAX_TRIANGULAR)
+        assert 1.66 <= rho_max_closed(A_TRIANGULAR).rho_max <= 1.67
 
     def test_reflection_invariance(self):
-        res = rho_max_closed(Mat2(-1.0, 8.0, 0.0, -3.0))
-        assert res.rho_max == pytest.approx(RHO_MAX_TRIANGULAR, rel=1e-9)
+        # reflected systems turn clockwise, so the worst case enters on
+        # the upper orthovector instead
+        for a, rho_max in ((A_TRIANGULAR, RHO_MAX_TRIANGULAR), (A_SPIRAL, RHO_MAX_SPIRAL)):
+            b = reflect_conjugate(a)
+            res = rho_max_closed(b)
+            assert res.rho_max == pytest.approx(rho_max, rel=1e-12)
+            assert res.theta_entry.distance(ortho_structure(decompose(b)).phi2) <= 1e-12
 
     def test_mild_value(self):
-        res = rho_max_closed(A_MILD)
-        assert res.rho_max == pytest.approx(RHO_MAX_MILD, rel=1e-12)
+        assert_closed_matches(A_MILD, RHO_MAX_MILD, T_MAX_MILD)
 
     def test_inapplicable_classifications(self):
         with pytest.raises(InapplicableError):
@@ -60,19 +75,50 @@ class TestClosedForm:
         with pytest.raises(InapplicableError):
             rho_max_closed(Mat2(-2.0, 1.0, 2.0, 1.0))  # saddle
 
-    def test_strict_declines_complex_pair(self):
-        with pytest.raises(ClosedFormUnavailableError):
-            rho_max_closed(A_SPIRAL)
+    def test_spiral_value(self):
+        assert isinstance(eigen_structure(decompose(A_SPIRAL)), ComplexPairEigen)
+        assert_closed_matches(A_SPIRAL, RHO_MAX_SPIRAL, T_MAX_SPIRAL)
 
-    def test_experimental_complex_matches_oracle(self):
-        res = rho_max_closed(A_SPIRAL, complex_mode="experimental")
-        assert res.method is AmplificationMethod.CLOSED_MS
-        assert res.rho_max == pytest.approx(RHO_MAX_SPIRAL, rel=1e-9)
-
-    def test_repeated_eigenvalue_declines(self):
+    def test_repeated_eigenvalue_value(self):
+        # 30-digit quadrature of R/T over the reactive arc gives
+        # 1.19037312194794...; p equals |m_T| exactly here.
         a = from_deltas(math.pi / 8, 0.0, 1.0)
-        with pytest.raises(ClosedFormUnavailableError):
-            rho_max_closed(a)
+        assert isinstance(eigen_structure(decompose(a)), RepeatedDefectiveEigen)
+        res = rho_max_closed(a)
+        assert res.rho_max == pytest.approx(1.190373121947942, rel=1e-12)
+        oracle = rho_max_numeric(a, step=1e-4)
+        assert res.t_max == pytest.approx(oracle.t_max, rel=1e-9)
+        assert res.theta_entry.distance(oracle.theta_entry) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_p=st.floats(min_value=-3.0, max_value=3.0),
+        frac=st.floats(min_value=0.1, max_value=0.9),
+        theta_r=st.floats(min_value=0.0, max_value=3.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        log_eps=st.floats(min_value=-13.0, max_value=-3.0),
+    )
+    def test_continuous_across_repeated_boundary(self, log_p, frac, theta_r, sign, log_eps):
+        # m_T = p (1 + eps) is a spiral, p (1 - eps) has real eigenvalues,
+        # and p itself a repeated one; one formula must join them smoothly.
+        p, eps = 10.0**log_p, 10.0**log_eps
+
+        def ln_rho(m_t: float) -> float:
+            rt = RTParams(-frac * p, sign * m_t, p, AngleModPi(theta_r))
+            return math.log(rho_max_closed(reconstruct(rt)).rho_max)
+
+        at_boundary = ln_rho(p)
+        for m_t in (p * (1.0 + eps), p * (1.0 - eps)):
+            assert abs(ln_rho(m_t) - at_boundary) <= 100.0 * eps + 1e-12
+
+    def test_scale_invariance(self, rng):
+        for a in (A_TRIANGULAR, A_SPIRAL, *(random_reactive_attractor(rng) for _ in range(20))):
+            base = rho_max_closed(a)
+            for c in (1e-6, 3.7e-4, 0.5, 1.0, 42.0, 2.2e3, 1e6):
+                res = rho_max_closed(a.scaled(c))
+                assert res.rho_max == pytest.approx(base.rho_max, rel=1e-12)
+                assert res.t_max * c == pytest.approx(base.t_max, rel=1e-12)
+                assert res.theta_entry.distance(base.theta_entry) <= 1e-12
 
     def test_rotation_invariance(self, rng):
         for _ in range(25):

@@ -32,10 +32,12 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         validate(schema, report)
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["transient"]["classification"] == "reactive_attractor"
         assert 1.66 <= report["amplification"]["rho_max"] <= 1.67
-        assert report["amplification"]["method"] == "closed_lambda_mu"
+        assert report["amplification"]["method"] == "closed_arc"
+        assert report["amplification"]["t_max"] == pytest.approx(0.48557072550733915, rel=1e-12)
+        assert report["amplification"]["theta_entry"] == report["ortho"]["phi1"]
         assert report["rt"]["m_R"] == -2.0
         assert report["eigen"]["kind"] == "distinct_real"
 
@@ -50,42 +52,33 @@ class TestAnalyze:
         assert "theta_R" not in report["rt"]
         assert "inapplicable" in report["standard_forms"]["rc"]
 
-    def test_spiral_uses_numeric_method(self, capsys, schema):
-        code, out, _ = run_cli(
-            capsys, "analyze", "--step", "1e-3", "--", "0.7", "-4", "4", "-4.7"
-        )
+    def test_spiral_uses_closed_method(self, capsys, schema):
+        code, out, _ = run_cli(capsys, "analyze", "--", "0.7", "-4", "4", "-4.7")
         assert code == 0
         report = json.loads(out)
         validate(schema, report)
         assert report["eigen"]["kind"] == "complex_pair"
         amp = report["amplification"]
-        assert amp["method"] == "numeric_sweep"
-        assert amp["rho_max"] == pytest.approx(1.0935319103, rel=1e-6)
-        assert "t_max" in amp
-        assert "experimental_closed_rho_max" in amp
-        assert amp["experimental_closed_rho_max"] == pytest.approx(
-            amp["rho_max"], rel=1e-3
-        )
+        assert amp["method"] == "closed_arc"
+        assert amp["rho_max"] == pytest.approx(1.0935319103034655, rel=1e-12)
+        assert amp["t_max"] == pytest.approx(0.19981662989066504, rel=1e-12)
+        assert amp["theta_entry"] == report["ortho"]["phi1"]
+        assert "eigen" not in amp["bounds"]
 
-    def test_strict_skips_experimental_value(self, capsys, schema):
-        code, out, _ = run_cli(
-            capsys, "analyze", "--strict", "--step", "1e-3", "--", "0.7", "-4", "4", "-4.7"
-        )
-        assert code == 0
-        report = json.loads(out)
-        validate(schema, report)
-        assert "experimental_closed_rho_max" not in report["amplification"]
+    @pytest.mark.parametrize(
+        "flag", [["--strict"], ["--step", "1e-3"], ["--seed", "5"]], ids=["strict", "step", "seed"]
+    )
+    def test_oracle_options_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *flag, "--", "0.7", "-4", "4", "-4.7"])
+        assert exc.value.code == 2
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "analyze", "--", "-1", "-8", "0", "-3")
         _, out2, _ = run_cli(capsys, "analyze", "--", "-1", "-8", "0", "-3")
         assert out1 == out2
-        _, out3, _ = run_cli(
-            capsys, "analyze", "--step", "1e-3", "--seed", "5", "--", "0.7", "-4", "4", "-4.7"
-        )
-        _, out4, _ = run_cli(
-            capsys, "analyze", "--step", "1e-3", "--seed", "5", "--", "0.7", "-4", "4", "-4.7"
-        )
+        _, out3, _ = run_cli(capsys, "analyze", "--", "0.7", "-4", "4", "-4.7")
+        _, out4, _ = run_cli(capsys, "analyze", "--", "0.7", "-4", "4", "-4.7")
         assert out3 == out4
 
     def test_seventeen_digit_floats(self, capsys):

@@ -9,6 +9,7 @@ from reactlin import (
     InvalidInputError,
     Mat2,
     NonautConfig,
+    NumericFailureError,
     QUARTER_TURN,
     corotating_matrix,
     decompose,
@@ -80,6 +81,12 @@ class TestMatrixExponential:
         f = math.exp(3.4)
         assert mat_close(e, Mat2(f, 1.7 * f, 0.0, f), 1e-12 * f)
 
+    def test_overflow_is_numeric_failure(self):
+        # e^800 is beyond double range, on the series and the cosh routes
+        for a in (Mat2(800.0, 0.0, 0.0, 800.0), Mat2(800.0, 0.0, 0.0, -800.0)):
+            with pytest.raises(NumericFailureError):
+                matrix_exponential(a, 1.0)
+
 
 class TestIntegrateLinear:
     def test_scalar_exponential(self):
@@ -124,6 +131,10 @@ class TestIntegrateLinear:
         assert np.allclose(np.diff(traj.t)[:-1], 1e-3)
         assert np.all(traj.r > 0)
 
+    def test_overflow_is_numeric_failure(self):
+        with pytest.raises(NumericFailureError):
+            integrate_linear(Mat2(800.0, 0.0, 0.0, 800.0), (1.0, 0.0), 1e-3, 1.0)
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             integrate_linear(A_TRIANGULAR, (0.0, 0.0), 1e-3, 1.0)
@@ -165,6 +176,10 @@ class TestIntegratePolar:
             pol = integrate_polar(rt, 1.0, th0, 1e-4, t_end)
             gap = np.hypot(cart.x1 - pol.x1, cart.x2 - pol.x2)
             assert (gap / cart.r).max() <= 1e-6
+
+    def test_overflow_is_numeric_failure(self):
+        with pytest.raises(NumericFailureError):
+            integrate_polar(decompose(Mat2(800.0, 0.0, 0.0, 800.0)), 1.0, 0.0, 1e-3, 10.0)
 
     def test_input_validation(self):
         rt = decompose(A_SPIRAL)
@@ -273,6 +288,11 @@ class TestIntegrateNonaut:
             y = integrate_linear(corotating_matrix(cfg), (1.0, 0.0), 2.5e-4, 20.0)
             rel = np.abs(x.r - y.r) / x.r
             assert rel.max() <= 1e-6
+
+    def test_overflow_is_numeric_failure(self):
+        # inside the repulsion window the norm grows until it overflows
+        with pytest.raises(NumericFailureError):
+            integrate_nonaut(NonautConfig(A_SPIRAL, -4.0), (1.0, 0.0), 0.05, 2000.0)
 
 
 class TestSweep:
