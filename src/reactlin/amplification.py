@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import AngleModPi, Mat2, RTParams, decompose
 from .dynamics import default_step
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
@@ -282,6 +280,7 @@ def _sweep_initial_angles(
     rt: RTParams, duration: float, h: float, n_angles: int, seed: int
 ) -> float:
     """Vectorized safety net: max gain over many unit starting states."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, 2.0 * math.pi / n_angles) + np.arange(n_angles) * (
         2.0 * math.pi / n_angles

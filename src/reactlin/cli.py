@@ -244,11 +244,8 @@ def cmd_trajectory(args) -> int:
         traj = integrate_nonaut(NonautConfig(a, args.k), tuple(args.x0), step, args.t_end)
     else:
         traj = integrate_linear(a, tuple(args.x0), step, args.t_end)
-    theta = traj.theta
-    r = traj.r
-    rows = (
-        (float(traj.t[i]), float(traj.x1[i]), float(traj.x2[i]), float(r[i]), float(theta[i]))
-        for i in range(len(traj.t))
+    rows = zip(
+        traj.t.tolist(), traj.x1.tolist(), traj.x2.tolist(), traj.r.tolist(), traj.theta.tolist()
     )
     _emit(_csv_rows(["t", "x1", "x2", "r", "theta_unwrapped"], rows))
     return 0

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AngleModPi",
@@ -119,12 +121,14 @@ class Mat2:
 
     @classmethod
     def from_array(cls, arr) -> "Mat2":
+        import numpy as np
         a = np.asarray(arr, dtype=float)
         if a.shape != (2, 2):
             raise InvalidInputError(f"expected a 2x2 array, got shape {a.shape}")
         return cls(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([[self.a11, self.a12], [self.a21, self.a22]])
 
     def trace(self) -> float:
@@ -313,5 +317,6 @@ def symmetric_part_reactivity(a: Mat2) -> float:
     Classical definition of reactivity; computed through LAPACK so it
     stays an oracle independent of the m_R + p route.
     """
-    h = 0.5 * (a.as_array() + a.as_array().T)
-    return float(np.linalg.eigvalsh(h)[-1])
+    import numpy as np
+    arr = a.as_array()
+    return float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[-1])

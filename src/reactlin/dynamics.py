@@ -11,14 +11,15 @@ system is autonomous with matrix A + k J, whose T curve is A's shifted
 vertically by k; the origin turns repelling exactly when the spin rate
 satisfies -k in (mu2, mu1), the band of angular velocities found on
 the reactive arc.
+
+numpy is imported only where arrays are built: Trajectory and the k sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     Mat2,
@@ -29,6 +30,9 @@ from .core import (
 )
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import Classification, DistinctRealOrtho, ortho_structure, transient_summary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -69,11 +73,22 @@ class Trajectory:
 
     @property
     def r(self) -> np.ndarray:
+        import numpy as np
         return np.hypot(self.x1, self.x2)
 
     @property
     def theta(self) -> np.ndarray:
+        import numpy as np
         return np.unwrap(np.arctan2(self.x2, self.x1))
+
+
+def _trajectory(
+    ts: list[float], xs: list[float], ys: list[float], step: float, method: str
+) -> Trajectory:
+    import numpy as np
+    return Trajectory(
+        t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method=method
+    )
 
 
 def _check_grid(step: float, t_end: float) -> None:
@@ -145,9 +160,7 @@ def integrate_linear(
         xs.append(x)
         ys.append(y)
     _check_finite(x, y, t_end)
-    return Trajectory(
-        t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4"
-    )
+    return _trajectory(ts, xs, ys, step, "rk4")
 
 
 def matrix_exponential(a: Mat2, t: float) -> Mat2:
@@ -241,9 +254,7 @@ def integrate_polar(
         xs.append(r * cos(th))
         ys.append(r * sin(th))
     _check_finite(r, th, t_end)
-    return Trajectory(
-        t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4_polar"
-    )
+    return _trajectory(ts, xs, ys, step, "rk4_polar")
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +364,7 @@ def integrate_nonaut(
         xs.append(x)
         ys.append(y)
     _check_finite(x, y, t_end)
-    return Trajectory(
-        t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method="rk4_nonaut"
-    )
+    return _trajectory(ts, xs, ys, step, "rk4_nonaut")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +428,9 @@ def sweep_rotation_rates(
         raise InvalidInputError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     window = repulsion_window(a)  # also validates the classification
 
+    import numpy as np
     ks = np.linspace(k_min, k_max, n)
-    arr = a.as_array()
+    a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
     x = np.full(n, float(x0[0]))
     y = np.full(n, float(x0[1]))
     if x[0] == 0.0 and y[0] == 0.0:
@@ -431,8 +441,8 @@ def sweep_rotation_rates(
         s = np.sin(ks * t)
         u = c * x - s * y
         v = s * x + c * y
-        fu = arr[0, 0] * u + arr[0, 1] * v
-        fv = arr[1, 0] * u + arr[1, 1] * v
+        fu = a11 * u + a12 * v
+        fv = a21 * u + a22 * v
         return c * fu + s * fv, -s * fu + c * fv
 
     n_steps = int(math.ceil(t_end / step))

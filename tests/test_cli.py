@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -258,3 +260,37 @@ class TestDiagnostics:
         monkeypatch.setattr("sys.stderr.isatty", lambda: True)
         code, _, err = run_cli(capsys, "analyze", "nan", "0", "0", "1")
         assert code == 2 and "\x1b[31m" in err
+
+
+class TestColdPath:
+    """The analytic commands must not import numpy; start-up is their whole cost."""
+
+    SCRIPT = (
+        "import contextlib, io, sys\n"
+        "import reactlin, reactlin.cli\n"
+        "for argv in {cases!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert reactlin.cli.main(argv) == 0, argv\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+
+    def run_fresh(self, cases):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT.format(cases=cases)],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        return proc.stdout.split()
+
+    def test_analytic_commands_skip_numpy(self):
+        cases = [
+            ["analyze", "--", "-1", "-8", "0", "-3"],
+            ["analyze", "--", "0.7", "-4", "4", "-4.7"],
+            ["analyze", "--", "-3", "0.1", "0", "-3"],
+            ["portrait", "--n", "16", "--", "-1", "-8", "0", "-3"],
+            ["synthesize", "deltas", "--delta-r", "0.39", "--delta-t", "0.39", "--rho", "1"],
+        ]
+        assert self.run_fresh(cases) == ["False"] * len(cases)
+
+    def test_trajectory_loads_numpy(self):
+        cases = [["trajectory", "--t-end", "0.1", "--", "-1", "-8", "0", "-3"]]
+        assert self.run_fresh(cases) == ["True"]

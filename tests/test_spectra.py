@@ -65,6 +65,15 @@ class TestEigenStructure:
         assert av[0] == pytest.approx(eig.lam * v[0], abs=1e-12)
         assert av[1] == pytest.approx(eig.lam * v[1], abs=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CASE_RTOL * (1 + p + |m_T|) has an absolute floor, so a matrix "
+        "scaled by 1e-10 falls inside the repeated-eigenvalue band",
+    )
+    def test_classification_scale_invariant(self):
+        eig = eigen_structure(decompose(A_TRIANGULAR.scaled(1e-10)))
+        assert isinstance(eig, DistinctRealEigen)
+
     def test_eigen_angles_carry_their_values(self):
         eig = eigen_structure(decompose(A_TRIANGULAR))
         # lambda1 = -1 on the x-axis eigenline of the triangular matrix
