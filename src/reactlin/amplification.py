@@ -9,8 +9,9 @@ elementary real formula that covers distinct-real, repeated and
 complex (spiral) spectra alike.  The paper's three closed forms (from
 eigen/orthovalues; midlines and separations; the two arc radii) serve
 as a runtime concordance check on real spectra, two strict upper bounds
-come from each arc radius alone, and an independent fixed-step RK4
-oracle reproduces all three outputs.
+come from each arc radius alone, and an independent oracle, fixed-step
+RK4 on X' = AX itself (one step-matrix product per step), reproduces
+all three outputs.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, Mat2, RTParams, decompose
-from .dynamics import default_step
+from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
+from .dynamics import _rk4_increment, default_step
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
     Classification,
@@ -226,58 +227,29 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
 # numeric oracle
 
 
-def _polar_log_step(
-    m_r: float, m_t: float, p: float, phase: float,
-    lnr: float, th: float, h: float,
-) -> tuple[float, float]:
-    """One RK4 step of d(ln r) = R(theta) dt, d(theta) = T(theta) dt."""
-    cos, sin = math.cos, math.sin
-    u = 2.0 * (th - phase)
-    d1r = m_r + p * cos(u)
-    d1t = m_t - p * sin(u)
-    u = 2.0 * (th + 0.5 * h * d1t - phase)
-    d2r = m_r + p * cos(u)
-    d2t = m_t - p * sin(u)
-    u = 2.0 * (th + 0.5 * h * d2t - phase)
-    d3r = m_r + p * cos(u)
-    d3t = m_t - p * sin(u)
-    u = 2.0 * (th + h * d3t - phase)
-    d4r = m_r + p * cos(u)
-    d4t = m_t - p * sin(u)
-    return (
-        lnr + h / 6.0 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r),
-        th + h / 6.0 * (d1t + 2.0 * d2t + 2.0 * d3t + d4t),
-    )
-
-
 def _refine_crossing(
-    m_r: float, m_t: float, p: float, phase: float,
-    lnr0: float, th0: float, h: float, target: float,
-) -> tuple[float, float]:
-    """Bisect the step length until theta lands on target.
+    a: Mat2, x0: float, y0: float, h: float, cos_t: float, sin_t: float,
+) -> tuple[float, float, float]:
+    """Bisect the step length until the state's angle lands on target.
 
-    The pre-step state must satisfy th0 < target and a full step must
-    overshoot.  Returns (lnr, dt) at the crossing.
+    target is given by its cosine and sine.  The pre-step state must sit
+    before target and a full step must reach or pass it.  Returns
+    (x, y, dt) at the crossing.
     """
     lo, hi = 0.0, h
-    lnr, dt = lnr0, 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        lnr_m, th_m = _polar_log_step(m_r, m_t, p, phase, lnr0, th0, mid)
-        if abs(th_m - target) <= EXIT_ANGLE_TOL:
-            return lnr_m, mid
-        if th_m < target:
-            lo = mid
-        else:
-            hi = mid
-        lnr, dt = lnr_m, mid
-        if hi - lo <= 1e-18 * h:
+        e11, e12, e21, e22 = _rk4_increment(a.a11, a.a12, a.a21, a.a22, mid)
+        xm, ym = x0 + (e11 * x0 + e12 * y0), y0 + (e21 * x0 + e22 * y0)
+        off = (cos_t * ym - sin_t * xm) / math.hypot(xm, ym)  # sin(theta - target)
+        if abs(off) <= EXIT_ANGLE_TOL or hi - lo <= 2e-18 * h:
             break
-    return lnr, dt
+        lo, hi = (mid, hi) if off < 0.0 else (lo, mid)
+    return xm, ym, mid
 
 
 def _sweep_initial_angles(
-    rt: RTParams, duration: float, h: float, n_angles: int, seed: int
+    a: Mat2, duration: float, h: float, n_angles: int, seed: int
 ) -> float:
     """Vectorized safety net: max gain over many unit starting states."""
     import numpy as np
@@ -285,25 +257,13 @@ def _sweep_initial_angles(
     th = rng.uniform(0.0, 2.0 * math.pi / n_angles) + np.arange(n_angles) * (
         2.0 * math.pi / n_angles
     )
-    lnr = np.zeros(n_angles)
-    best = np.zeros(n_angles)
-    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
-    phase = rt.theta_r.value if rt.theta_r is not None else 0.0
-    n_steps = int(math.ceil(duration / h))
-
-    def deriv(th):
-        u = 2.0 * (th - phase)
-        return m_r + p * np.cos(u), m_t - p * np.sin(u)
-
-    for _ in range(n_steps):
-        d1r, d1t = deriv(th)
-        d2r, d2t = deriv(th + 0.5 * h * d1t)
-        d3r, d3t = deriv(th + 0.5 * h * d2t)
-        d4r, d4t = deriv(th + h * d3t)
-        lnr = lnr + h / 6.0 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r)
-        th = th + h / 6.0 * (d1t + 2.0 * d2t + 2.0 * d3t + d4t)
-        np.maximum(best, lnr, out=best)
-    return float(np.exp(best.max()))
+    x, y = np.cos(th), np.sin(th)
+    best = np.ones(n_angles)  # largest |x|^2 seen so far
+    e11, e12, e21, e22 = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
+    for _ in range(int(math.ceil(duration / h))):
+        x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+        np.maximum(best, x * x + y * y, out=best)
+    return math.sqrt(float(best.max()))
 
 
 def rho_max_numeric(
@@ -313,14 +273,17 @@ def rho_max_numeric(
     seed: int = 0,
     n_sweep_angles: int = 360,
 ) -> AmplificationResult:
-    """Measure maximal amplification by integrating the polar system.
+    """Measure maximal amplification by time-stepping X' = AX with RK4.
 
     Starts a unit perturbation on the entrance orthovector and rides it
-    across the reactive arc, refining the exit crossing by bisection to
-    1e-12 in angle.  With real eigenvalues one traversal is the answer;
-    a spiral (complex pair) keeps circulating, so per-revolution peaks
-    are tracked until they decay, and a vectorized sweep of starting
-    angles (seeded jitter) guards the result from below.
+    across the reactive arc, each step one product with the RK4 step
+    matrix; the exit, where sin(theta - exit angle) changes sign, is
+    refined by bisecting the partial step to 1e-12 in angle.  With real
+    eigenvalues one traversal is the answer; a spiral (complex pair)
+    keeps circulating, so per-revolution peaks are tracked until they
+    decay, and a vectorized sweep of starting angles (seeded jitter)
+    guards the result from below.  A reflected matrix (m_T < 0) is
+    stepped in its canonical, reflected form.
 
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate.
@@ -334,34 +297,38 @@ def rho_max_numeric(
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidInputError(f"step must be a positive real, got {step}")
 
-    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
-    assert rt.theta_r is not None
-    phase = rt.theta_r.value
+    canon = reflect_conjugate(a) if reflected else a
     entry = ortho.phi1.value
-    arc = 2.0 * ortho.delta_r
     is_spiral = isinstance(eigen_structure(rt), ComplexPairEigen)
+    e11, e12, e21, e22 = _rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step)
 
-    lnr, th = 0.0, entry
-    t = 0.0
+    x, y = math.cos(entry), math.sin(entry)
+    lnr0 = 0.0  # log of the norm divided out at each exit
     peaks: list[tuple[float, float]] = []  # (lnr, t) at successive arc exits
-    target = entry + arc
+    target = entry + 2.0 * ortho.delta_r
+    cos_t, sin_t = math.cos(target), math.sin(target)
     # One arc suffices for real spectra; a spiral needs the next pass to
-    # confirm the peaks are falling.
+    # confirm the peaks are falling.  Angles rise across the arc (T > 0),
+    # so sin(theta - target) turns from negative to non-negative at the
+    # exit; the sign needs no division by the norm.
     needed = 2 if is_spiral else 1
-    steps = 0
-    while len(peaks) < needed:
-        lnr_new, th_new = _polar_log_step(m_r, m_t, p, phase, lnr, th, step)
-        steps += 1
-        if steps > MAX_STEPS:
-            raise NumericFailureError(
-                f"amplification oracle exceeded {MAX_STEPS} steps without "
-                "completing the required arc traversals"
-            )
-        if th_new >= target:
-            lnr_x, dt = _refine_crossing(m_r, m_t, p, phase, lnr, th, step, target)
-            peaks.append((lnr_x, t + dt))
-            target += math.pi
-        lnr, th, t = lnr_new, th_new, t + step
+    for n in range(MAX_STEPS):
+        x_new, y_new = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+        if cos_t * y_new - sin_t * x_new >= 0.0:
+            xc, yc, dt = _refine_crossing(canon, x, y, step, cos_t, sin_t)
+            peaks.append((lnr0 + math.log(math.hypot(xc, yc)), n * step + dt))
+            if len(peaks) == needed:
+                break
+            cos_t, sin_t = -cos_t, -sin_t  # the next exit, half a turn on
+            r = math.hypot(x_new, y_new)
+            lnr0 += math.log(r)
+            x_new, y_new = x_new / r, y_new / r
+        x, y = x_new, y_new
+    else:
+        raise NumericFailureError(
+            f"amplification oracle exceeded {MAX_STEPS} steps without "
+            "completing the required arc traversals"
+        )
 
     if is_spiral and peaks[1][0] >= peaks[0][0]:
         raise NumericFailureError(
@@ -374,7 +341,7 @@ def rho_max_numeric(
     if is_spiral:
         period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
         sweep_rho = _sweep_initial_angles(
-            rt,
+            canon,
             duration=2.0 * period,
             h=min(default_step(rt, 1e-2), period / 512.0),
             n_angles=n_sweep_angles,

@@ -1,16 +1,22 @@
 """Trajectory integration and the rotating nonautonomous construction.
 
 Fixed-step classical RK4 drives all integrators (smooth 2x2 linear
-fields need nothing adaptive); a closed-form matrix exponential serves
-as the independent oracle for the Cartesian route, and the polar route
-integrates dr/dt = r R(theta), dtheta/dt = T(theta) directly.
+fields need nothing adaptive).  On a linear field one RK4 step is the
+fixed matrix P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the
+Cartesian integrators precompute it and advance by one 2x2 product per
+step; a closed-form matrix exponential serves as their independent
+oracle.  The polar route integrates dr/dt = r R(theta),
+dtheta/dt = T(theta) stage by stage, since its field is nonlinear.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
 system is autonomous with matrix A + k J, whose T curve is A's shifted
 vertically by k; the origin turns repelling exactly when the spin rate
 satisfies -k in (mu2, mu1), the band of angular velocities found on
-the reactive arc.
+the reactive arc.  Its RK4 step is constant in that frame too: with
+B_k(t0 + s) = R(-k t0) B_k(s) R(k t0), the step from t0 is
+R(-k t0) S R(k t0), where S is the step from 0, so z = R(kt) x advances
+by the fixed matrix R(kh) S.
 
 numpy is imported only where arrays are built: Trajectory and the k sweep.
 """
@@ -82,13 +88,9 @@ class Trajectory:
         return np.unwrap(np.arctan2(self.x2, self.x1))
 
 
-def _trajectory(
-    ts: list[float], xs: list[float], ys: list[float], step: float, method: str
-) -> Trajectory:
+def _trajectory(ts: np.ndarray, xs, ys, step: float, method: str) -> Trajectory:
     import numpy as np
-    return Trajectory(
-        t=np.array(ts), x1=np.array(xs), x2=np.array(ys), step=step, method=method
-    )
+    return Trajectory(t=ts, x1=np.asarray(xs), x2=np.asarray(ys), step=step, method=method)
 
 
 def _check_grid(step: float, t_end: float) -> None:
@@ -96,6 +98,19 @@ def _check_grid(step: float, t_end: float) -> None:
         raise InvalidInputError(f"step must be a positive real, got {step}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise InvalidInputError(f"t_end must be a positive real, got {t_end}")
+
+
+def _grid(step: float, t_end: float) -> tuple[int, float]:
+    """Number of full steps and the partial final step (0 if none)."""
+    n_full = int(math.floor(t_end / step + 1e-9))
+    rem = t_end - n_full * step
+    return n_full, rem if rem > 1e-12 * t_end else 0.0
+
+
+def _sample_times(n_full: int, step: float, rem: float, t_end: float) -> np.ndarray:
+    import numpy as np
+    ts = np.arange(n_full + 1) * step
+    return np.append(ts, t_end) if rem else ts
 
 
 def _check_finite(x: float, y: float, t_end: float) -> None:
@@ -114,52 +129,61 @@ def default_step(rt: RTParams, base: float = 1e-4) -> float:
     return base / max(speed, 1.0)
 
 
-def integrate_linear(
-    a: Mat2, x0: tuple[float, float], step: float, t_end: float
-) -> Trajectory:
-    """RK4 trajectory of X' = AX from x0."""
+def _rk4_increment(a11, a12, a21, a22, h):
+    """Entries (e11, e12, e21, e22) of P(hA) - I for the RK4 step of X' = AX.
+
+    One classical RK4 step of a linear field is multiplication by
+    P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so it is
+    x <- x + E x with E = hA (I + hA/2 (I + hA/3 (I + hA/4))).  Callers
+    add the identity in that update: folded into P, the rounding of each
+    diagonal entry would be repeated by every step, an error growing like
+    the step count; kept in E it scales with the O(h) increment instead.
+    The entries and h may be floats or numpy arrays, giving one matrix
+    per element.
+    """
+    b11, b12, b21, b22 = h * a11, h * a12, h * a21, h * a22
+    e11, e12, e21, e22 = b11, b12, b21, b22
+    for j in (4.0, 3.0, 2.0):
+        e11, e12, e21, e22 = (
+            b11 + (b11 * e11 + b12 * e21) / j,
+            b12 + (b11 * e12 + b12 * e22) / j,
+            b21 + (b21 * e11 + b22 * e21) / j,
+            b22 + (b21 * e12 + b22 * e22) / j,
+        )
+    return e11, e12, e21, e22
+
+
+def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
+    """Times and states of x <- x + E x on the integrator grid.
+
+    increment(h) returns the entries of E for a step of length h; it is
+    called once for the full steps and once for a partial final step.
+    """
     _check_grid(step, t_end)
     x, y = float(x0[0]), float(x0[1])
     if x == 0.0 and y == 0.0:
         raise InvalidInputError("initial state must be nonzero")
-    a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
-    ts = [0.0]
+    n_full, rem = _grid(step, t_end)
     xs = [x]
     ys = [y]
-    n_full = int(math.floor(t_end / step + 1e-9))
-    rem = t_end - n_full * step
-
-    def rk4(x: float, y: float, h: float) -> tuple[float, float]:
-        k1x = a11 * x + a12 * y
-        k1y = a21 * x + a22 * y
-        u = x + 0.5 * h * k1x
-        v = y + 0.5 * h * k1y
-        k2x = a11 * u + a12 * v
-        k2y = a21 * u + a22 * v
-        u = x + 0.5 * h * k2x
-        v = y + 0.5 * h * k2y
-        k3x = a11 * u + a12 * v
-        k3y = a21 * u + a22 * v
-        u = x + h * k3x
-        v = y + h * k3y
-        k4x = a11 * u + a12 * v
-        k4y = a21 * u + a22 * v
-        return (
-            x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        )
-
-    for i in range(1, n_full + 1):
-        x, y = rk4(x, y, step)
-        ts.append(i * step)
-        xs.append(x)
-        ys.append(y)
-    if rem > 1e-12 * t_end:
-        x, y = rk4(x, y, rem)
-        ts.append(t_end)
-        xs.append(x)
-        ys.append(y)
+    for h, n in ((step, n_full), (rem, 1 if rem else 0)):
+        if n:
+            e11, e12, e21, e22 = increment(h)
+            for _ in range(n):
+                x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+                xs.append(x)
+                ys.append(y)
     _check_finite(x, y, t_end)
+    return _sample_times(n_full, step, rem, t_end), xs, ys
+
+
+def integrate_linear(
+    a: Mat2, x0: tuple[float, float], step: float, t_end: float
+) -> Trajectory:
+    """RK4 trajectory of X' = AX from x0, one step matrix product per step."""
+    ts, xs, ys = _step_linear(
+        lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h), x0, step, t_end
+    )
     return _trajectory(ts, xs, ys, step, "rk4")
 
 
@@ -238,23 +262,19 @@ def integrate_polar(
         )
 
     r, th = float(r0), float(theta0)
-    ts = [0.0]
     xs = [r * cos(th)]
     ys = [r * sin(th)]
-    n_full = int(math.floor(t_end / step + 1e-9))
-    rem = t_end - n_full * step
-    for i in range(1, n_full + 1):
+    n_full, rem = _grid(step, t_end)
+    for _ in range(n_full):
         r, th = rk4(r, th, step)
-        ts.append(i * step)
         xs.append(r * cos(th))
         ys.append(r * sin(th))
-    if rem > 1e-12 * t_end:
+    if rem:
         r, th = rk4(r, th, rem)
-        ts.append(t_end)
         xs.append(r * cos(th))
         ys.append(r * sin(th))
     _check_finite(r, th, t_end)
-    return _trajectory(ts, xs, ys, step, "rk4_polar")
+    return _trajectory(_sample_times(n_full, step, rem, t_end), xs, ys, step, "rk4_polar")
 
 
 # ---------------------------------------------------------------------------
@@ -317,54 +337,66 @@ def repulsion_window(a: Mat2) -> tuple[float, float]:
     return (-ortho.mu1, -ortho.mu2)
 
 
-def integrate_nonaut(
-    cfg: NonautConfig, x0: tuple[float, float], step: float, t_end: float
-) -> Trajectory:
-    """RK4 on X' = B_k(t) X with the time-dependent rotating matrix."""
-    _check_grid(step, t_end)
-    x, y = float(x0[0]), float(x0[1])
-    if x == 0.0 and y == 0.0:
-        raise InvalidInputError("initial state must be nonzero")
-    a11, a12, a21, a22 = cfg.base.a11, cfg.base.a12, cfg.base.a21, cfg.base.a22
-    k = cfg.k
-    cos, sin = math.cos, math.sin
+def _corotating_increment(a: Mat2, k, h: float, xp):
+    """Entries of C - I, where C = R(kh) S is the RK4 step of X' = B_k(t) X
+    seen in z = R(kt) X.
 
-    def rhs(t: float, x: float, y: float) -> tuple[float, float]:
-        c = cos(k * t)
-        s = sin(k * t)
+    S is the RK4 step of B_k from t = 0, found by pushing e1 and e2
+    through the four stages; C - I = R(kh) (S - I) + (R(kh) - I) keeps
+    the increment apart from the identity, as in _rk4_increment.  k may
+    be a float (xp = math) or a numpy array of rates (xp = numpy),
+    giving one matrix per rate.
+    """
+    a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
+
+    def rhs(t, x, y):
+        c = xp.cos(k * t)
+        s = xp.sin(k * t)
         u = c * x - s * y
         v = s * x + c * y
         fu = a11 * u + a12 * v
         fv = a21 * u + a22 * v
         return (c * fu + s * fv, -s * fu + c * fv)
 
-    def rk4(t: float, x: float, y: float, h: float) -> tuple[float, float]:
-        k1x, k1y = rhs(t, x, y)
-        k2x, k2y = rhs(t + 0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = rhs(t + 0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        k4x, k4y = rhs(t + h, x + h * k3x, y + h * k3y)
+    def rk4_increment(x, y):
+        k1x, k1y = rhs(0.0, x, y)
+        k2x, k2y = rhs(0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = rhs(0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = rhs(h, x + h * k3x, y + h * k3y)
         return (
-            x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
         )
 
-    ts = [0.0]
-    xs = [x]
-    ys = [y]
-    n_full = int(math.floor(t_end / step + 1e-9))
-    rem = t_end - n_full * step
-    for i in range(1, n_full + 1):
-        x, y = rk4((i - 1) * step, x, y, step)
-        ts.append(i * step)
-        xs.append(x)
-        ys.append(y)
-    if rem > 1e-12 * t_end:
-        x, y = rk4(n_full * step, x, y, rem)
-        ts.append(t_end)
-        xs.append(x)
-        ys.append(y)
-    _check_finite(x, y, t_end)
-    return _trajectory(ts, xs, ys, step, "rk4_nonaut")
+    d11, d21 = rk4_increment(1.0, 0.0)
+    d12, d22 = rk4_increment(0.0, 1.0)
+    c, s = xp.cos(k * h), xp.sin(k * h)
+    c1 = -2.0 * xp.sin(0.5 * k * h) ** 2  # cos(kh) - 1 without cancellation
+    return (
+        c * d11 - s * d21 + c1,
+        c * d12 - s * d22 - s,
+        s * d11 + c * d21 + s,
+        s * d12 + c * d22 + c1,
+    )
+
+
+def integrate_nonaut(
+    cfg: NonautConfig, x0: tuple[float, float], step: float, t_end: float
+) -> Trajectory:
+    """RK4 on X' = B_k(t) X with the time-dependent rotating matrix.
+
+    Steps run in the co-rotating frame z = R(kt) X, where every RK4 step
+    is the same matrix; each sample is turned back by R(-k t_n), with
+    the angle taken from t_n itself so rotation error never accumulates.
+    """
+    k = cfg.k
+    ts, zs, ws = _step_linear(
+        lambda h: _corotating_increment(cfg.base, k, h, math), x0, step, t_end
+    )
+    import numpy as np
+    z, w = np.array(zs), np.array(ws)
+    c, s = np.cos(k * ts), np.sin(k * ts)
+    return _trajectory(ts, c * z + s * w, c * w - s * z, step, "rk4_nonaut")
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +447,13 @@ def sweep_rotation_rates(
 ) -> SweepResult:
     """Classify growth/decay of the spun system over a grid of rates k.
 
-    All rates integrate in lockstep as one vectorized RK4 run; log-norm
-    samples are kept at ~n_norm_samples times for the slope fit.  The
-    empirical window boundary is the midpoint between the last decaying
-    and first growing grid rates on each side (grid endpoints when the
-    growing block touches the edge of the grid).
+    All rates integrate in lockstep as one vectorized RK4 run in the
+    co-rotating frame z = R(kt) X, where each rate's step is one fixed
+    matrix (see _corotating_increment) and |z| = |X| because a rotation keeps
+    the norm; log-norm samples are kept at ~n_norm_samples times for the
+    slope fit.  The empirical window boundary is the midpoint between the
+    last decaying and first growing grid rates on each side (grid
+    endpoints when the growing block touches the edge of the grid).
     """
     _check_grid(step, t_end)
     if n < 2:
@@ -430,23 +464,14 @@ def sweep_rotation_rates(
 
     import numpy as np
     ks = np.linspace(k_min, k_max, n)
-    a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
     x = np.full(n, float(x0[0]))
     y = np.full(n, float(x0[1]))
     if x[0] == 0.0 and y[0] == 0.0:
         raise InvalidInputError("initial state must be nonzero")
 
-    def rhs(t, x, y):
-        c = np.cos(ks * t)
-        s = np.sin(ks * t)
-        u = c * x - s * y
-        v = s * x + c * y
-        fu = a11 * u + a12 * v
-        fv = a21 * u + a22 * v
-        return c * fu + s * fv, -s * fu + c * fv
-
     n_steps = int(math.ceil(t_end / step))
     h = t_end / n_steps
+    e11, e12, e21, e22 = _corotating_increment(a, ks, h, np)
     keep_every = max(1, n_steps // n_norm_samples)
     # Renormalizing the state each step is exact for a linear system and
     # keeps very fast growth/decay away from overflow; the true log-norm
@@ -455,13 +480,7 @@ def sweep_rotation_rates(
     ts = [0.0]
     logs = [acc.copy()]
     for i in range(n_steps):
-        t = i * h
-        k1x, k1y = rhs(t, x, y)
-        k2x, k2y = rhs(t + 0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = rhs(t + 0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        k4x, k4y = rhs(t + h, x + h * k3x, y + h * k3y)
-        x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
         m = np.hypot(x, y)
         acc = acc + np.log(m)
         x /= m

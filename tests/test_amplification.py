@@ -11,12 +11,14 @@ from reactlin import (
     DistinctRealOrtho,
     InapplicableError,
     Mat2,
+    NumericFailureError,
     RTParams,
     RepeatedDefectiveEigen,
     attractor_with_eigenvalues,
     decompose,
     eigen_structure,
     from_deltas,
+    matrix_exponential,
     ortho_structure,
     reconstruct,
     reflect_conjugate,
@@ -74,6 +76,17 @@ class TestClosedForm:
             rho_max_closed(Mat2(-3.0, 0.1, 0.0, -3.0))  # non-reactive attractor
         with pytest.raises(InapplicableError):
             rho_max_closed(Mat2(-2.0, 1.0, 2.0, 1.0))  # saddle
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NumericFailureError,
+        reason="near det A = 0 the paper's forms and the arc formula each lose "
+        "about eps p^2 / det of relative accuracy, so the concordance check fails",
+    )
+    def test_near_singular_attractor(self):
+        # m_T/p_T - 1 = 1e-8, well inside the band where the routes disagree
+        a = reconstruct(RTParams(-0.5, math.sqrt(0.75) * (1 + 1e-8), 1.0, AngleModPi(0.3)))
+        assert rho_max_closed(a).rho_max >= 1.0
 
     def test_spiral_value(self):
         assert isinstance(eigen_structure(decompose(A_SPIRAL)), ComplexPairEigen)
@@ -226,6 +239,23 @@ class TestNumericOracle:
             res.theta_entry.distance(ortho.phi1), res.theta_entry.distance(ortho.phi2)
         )
         assert on_boundary <= 1e-9
+
+    @pytest.mark.parametrize("a", [
+        A_TRIANGULAR,
+        Mat2(-1.0, 8.0, 0.0, -3.0),  # reflected
+        attractor_with_eigenvalues(-1e-4, -3.0, 2.0),  # eigenline borders the arc
+    ])
+    def test_exit_state_matches_matrix_exponential(self, a):
+        # the exact solution from the unit entry vector, taken at t_max,
+        # must have gained rho_max and sit on the other boundary orthovector
+        res = rho_max_numeric(a, step=1e-4)
+        entry = res.theta_entry.value
+        x, y = matrix_exponential(a, res.t_max).apply(math.cos(entry), math.sin(entry))
+        assert math.hypot(x, y) == pytest.approx(res.rho_max, rel=1e-9)
+        ortho = ortho_structure(decompose(a))
+        on_phi1 = res.theta_entry.distance(ortho.phi1) <= 1e-12
+        exit_line = ortho.phi2 if on_phi1 else ortho.phi1
+        assert exit_line.distance(math.atan2(y, x)) <= 1e-9
 
     def test_repeated_eigenvalue_attractor(self):
         a = from_deltas(math.pi / 8, 0.0, 1.0)

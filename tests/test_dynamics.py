@@ -26,6 +26,7 @@ from reactlin import (
     sweep_rotation_rates,
     transient_summary,
 )
+from reactlin.dynamics import _rk4_increment
 from reactlin.spectra import ComplexPairEigen
 from conftest import (
     A_SADDLE,
@@ -38,6 +39,47 @@ from conftest import (
 )
 
 SQRT13 = math.sqrt(13.0)
+
+
+def rk4_reference(f, t, x, y, h):
+    """One classical RK4 step of (x, y)' = f(t, x, y), stage by stage."""
+    k1x, k1y = f(t, x, y)
+    k2x, k2y = f(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y)
+    k3x, k3y = f(t + h / 2, x + h / 2 * k2x, y + h / 2 * k2y)
+    k4x, k4y = f(t + h, x + h * k3x, y + h * k3y)
+    return (
+        x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
+        y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
+    )
+
+
+class TestRk4Kernel:
+    @staticmethod
+    def reference_columns(a11, a12, a21, a22, h):
+        def f(_t, x, y):
+            return a11 * x + a12 * y, a21 * x + a22 * y
+
+        c1 = rk4_reference(f, 0.0, 1.0, 0.0, h)
+        c2 = rk4_reference(f, 0.0, 0.0, 1.0, h)
+        return c1[0], c2[0], c1[1], c2[1]
+
+    def test_step_matrix_matches_stages_for_floats(self, rng):
+        for _ in range(200):
+            a = random_mat2(rng, -3, 3)
+            h = float(rng.uniform(1e-4, 0.3))
+            e = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
+            got = (1.0 + e[0], e[1], e[2], 1.0 + e[3])
+            want = self.reference_columns(a.a11, a.a12, a.a21, a.a22, h)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
+
+    def test_step_matrix_matches_stages_for_arrays(self, rng):
+        entries = rng.uniform(-3, 3, size=(4, 50))
+        h = rng.uniform(1e-4, 0.3, size=50)
+        e = _rk4_increment(*entries, h)
+        got = np.array([1.0 + e[0], e[1], e[2], 1.0 + e[3]])
+        assert got.shape == (4, 50)
+        want = np.array(self.reference_columns(*entries, h))
+        assert np.abs(got - want).max() <= 1e-14
 
 
 class TestMatrixExponential:
@@ -288,6 +330,33 @@ class TestIntegrateNonaut:
             y = integrate_linear(corotating_matrix(cfg), (1.0, 0.0), 2.5e-4, 20.0)
             rel = np.abs(x.r - y.r) / x.r
             assert rel.max() <= 1e-6
+
+    def test_matches_stagewise_rk4_with_partial_step(self):
+        # the co-rotating step matrix must reproduce RK4 of B_k(t) itself,
+        # including the final partial step from a t0 that is not 0
+        cfg = NonautConfig(A_SPIRAL, -3.3)
+        step, t_end = 1e-2, 2.0037
+        traj = integrate_nonaut(cfg, (0.6, -0.8), step, t_end)
+
+        def f(t, x, y):
+            return nonaut_matrix(cfg, t).apply(x, y)
+
+        x, y = 0.6, -0.8
+        ts, xs, ys = [0.0], [x], [y]
+        n_full = int(t_end / step)
+        for i in range(n_full):
+            x, y = rk4_reference(f, i * step, x, y, step)
+            ts.append((i + 1) * step)
+            xs.append(x)
+            ys.append(y)
+        x, y = rk4_reference(f, n_full * step, x, y, t_end - n_full * step)
+        ts.append(t_end)
+        xs.append(x)
+        ys.append(y)
+        assert traj.t[-1] == t_end and traj.t[-1] - traj.t[-2] < step
+        assert np.array_equal(traj.t, np.array(ts))
+        assert np.abs(traj.x1 - np.array(xs)).max() <= 1e-12
+        assert np.abs(traj.x2 - np.array(ys)).max() <= 1e-12
 
     def test_overflow_is_numeric_failure(self):
         # inside the repulsion window the norm grows until it overflows
