@@ -10,8 +10,8 @@ complex (spiral) spectra alike.  The paper's three closed forms (from
 eigen/orthovalues; midlines and separations; the two arc radii) serve
 as a runtime concordance check on real spectra, two strict upper bounds
 come from each arc radius alone, and an independent oracle, fixed-step
-RK4 on X' = AX itself (one step-matrix product per step), reproduces
-all three outputs.
+RK4 on X' = AX itself (a block of step-matrix powers per array
+expression), reproduces all three outputs.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
-from .dynamics import _rk4_increment, default_step
+from .dynamics import _powers, _rk4_increment, default_step
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
     Classification,
@@ -251,19 +251,35 @@ def _refine_crossing(
 def _sweep_initial_angles(
     a: Mat2, duration: float, h: float, n_angles: int, seed: int
 ) -> float:
-    """Vectorized safety net: max gain over many unit starting states."""
+    """Vectorized safety net: max gain over many unit starting states.
+
+    Only norms are needed.  With D_j = P^j - I, the states of a block,
+    x_{b+j} = (I + D_j) x_b, have |x_{b+j}|^2 = x_b^T G_j x_b where
+    G_j = (I + D_j)^T (I + D_j), so each block of steps is one
+    (steps x 3) by (3 x angles) matrix product, and the states themselves
+    advance from block end to block end.
+    """
     import numpy as np
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, 2.0 * math.pi / n_angles) + np.arange(n_angles) * (
         2.0 * math.pi / n_angles
     )
     x, y = np.cos(th), np.sin(th)
-    best = np.ones(n_angles)  # largest |x|^2 seen so far
-    e11, e12, e21, e22 = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
-    for _ in range(int(math.ceil(duration / h))):
-        x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
-        np.maximum(best, x * x + y * y, out=best)
-    return math.sqrt(float(best.max()))
+    d = _powers(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, h))
+    p11, p12, p21, p22 = 1.0 + d[0, :, 0], d[0, :, 1], d[1, :, 0], 1.0 + d[1, :, 1]
+    gram = np.stack(  # (g11, 2 g12, g22) of each G_j
+        (p11 * p11 + p21 * p21, 2.0 * (p11 * p12 + p21 * p22), p12 * p12 + p22 * p22),
+        axis=1,
+    )
+    best = 1.0  # largest |x|^2 seen so far
+    n_steps = int(math.ceil(duration / h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n_steps, len(gram)):
+            m = min(len(gram), n_steps - i)
+            best = max(best, float((gram[:m] @ np.stack((x * x, x * y, y * y))).max()))
+            (e11, e12), (e21, e22) = d[:, m - 1].tolist()
+            x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+    return math.sqrt(best)
 
 
 def rho_max_numeric(
@@ -276,12 +292,14 @@ def rho_max_numeric(
     """Measure maximal amplification by time-stepping X' = AX with RK4.
 
     Starts a unit perturbation on the entrance orthovector and rides it
-    across the reactive arc, each step one product with the RK4 step
-    matrix; the exit, where sin(theta - exit angle) changes sign, is
-    refined by bisecting the partial step to 1e-12 in angle.  With real
-    eigenvalues one traversal is the answer; a spiral (complex pair)
-    keeps circulating, so per-revolution peaks are tracked until they
-    decay, and a vectorized sweep of starting angles (seeded jitter)
+    across the reactive arc with the RK4 step matrix P, a block of steps
+    at a time: x_{n+j} = x_n + (P^j - I) x_n for the block's j.  The exit is
+    the first state of a block where sin(theta - exit angle) is no longer
+    negative; from the state before it, the step is refined by bisecting
+    its length to 1e-12 in angle.  MAX_STEPS bounds the steps taken.
+    With real eigenvalues one traversal is the answer; a spiral (complex
+    pair) keeps circulating, so per-revolution peaks are tracked until
+    they decay, and a vectorized sweep of starting angles (seeded jitter)
     guards the result from below.  A reflected matrix (m_T < 0) is
     stepped in its canonical, reflected form.
 
@@ -300,7 +318,8 @@ def rho_max_numeric(
     canon = reflect_conjugate(a) if reflected else a
     entry = ortho.phi1.value
     is_spiral = isinstance(eigen_structure(rt), ComplexPairEigen)
-    e11, e12, e21, e22 = _rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step)
+    import numpy as np
+    d = _powers(*_rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step))
 
     x, y = math.cos(entry), math.sin(entry)
     lnr0 = 0.0  # log of the norm divided out at each exit
@@ -310,25 +329,38 @@ def rho_max_numeric(
     # One arc suffices for real spectra; a spiral needs the next pass to
     # confirm the peaks are falling.  Angles rise across the arc (T > 0),
     # so sin(theta - target) turns from negative to non-negative at the
-    # exit; the sign needs no division by the norm.
+    # exit; the sign needs no division by the norm.  n counts the steps
+    # taken, and each block holds the next states x_{n+1} .. x_{n+m}.
     needed = 2 if is_spiral else 1
-    for n in range(MAX_STEPS):
-        x_new, y_new = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
-        if cos_t * y_new - sin_t * x_new >= 0.0:
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < MAX_STEPS:
+            m = min(d.shape[1], MAX_STEPS - n)
+            xy = np.array((x, y))
+            xs = d[:, :m] @ xy + xy[:, None]
+            past = cos_t * xs[1] - sin_t * xs[0] >= 0.0
+            i = int(past.argmax())
+            if not past[i]:
+                x, y = xs[:, -1].tolist()
+                n += m
+                continue
+            if i:
+                x, y = xs[:, i - 1].tolist()
             xc, yc, dt = _refine_crossing(canon, x, y, step, cos_t, sin_t)
-            peaks.append((lnr0 + math.log(math.hypot(xc, yc)), n * step + dt))
+            peaks.append((lnr0 + math.log(math.hypot(xc, yc)), (n + i) * step + dt))
             if len(peaks) == needed:
                 break
             cos_t, sin_t = -cos_t, -sin_t  # the next exit, half a turn on
-            r = math.hypot(x_new, y_new)
+            x, y = xs[:, i].tolist()
+            r = math.hypot(x, y)
             lnr0 += math.log(r)
-            x_new, y_new = x_new / r, y_new / r
-        x, y = x_new, y_new
-    else:
-        raise NumericFailureError(
-            f"amplification oracle exceeded {MAX_STEPS} steps without "
-            "completing the required arc traversals"
-        )
+            x, y = x / r, y / r
+            n += i + 1
+        else:
+            raise NumericFailureError(
+                f"amplification oracle exceeded {MAX_STEPS} steps without "
+                "completing the required arc traversals"
+            )
 
     if is_spiral and peaks[1][0] >= peaks[0][0]:
         raise NumericFailureError(

@@ -3,10 +3,14 @@
 Fixed-step classical RK4 drives all integrators (smooth 2x2 linear
 fields need nothing adaptive).  On a linear field one RK4 step is the
 fixed matrix P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the
-Cartesian integrators precompute it and advance by one 2x2 product per
-step; a closed-form matrix exponential serves as their independent
-oracle.  The polar route integrates dr/dt = r R(theta),
-dtheta/dt = T(theta) stage by stage, since its field is nonlinear.
+Cartesian integrators precompute its first powers and advance a block
+of states per array expression, x_{b+j} = x_b + (P^j - I) x_b, up to
+256 at a time; a closed-form matrix exponential serves as their
+independent oracle.  The polar route integrates dr/dt = r R(theta),
+dtheta/dt = T(theta): only the angle flow is sequential, so a scalar
+loop steps theta alone, and since each RK4 step multiplies r by a factor
+that depends only on the step's start angle and length, the radius is
+one cumulative product over all steps.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -18,7 +22,8 @@ B_k(t0 + s) = R(-k t0) B_k(s) R(k t0), the step from t0 is
 R(-k t0) S R(k t0), where S is the step from 0, so z = R(kt) x advances
 by the fixed matrix R(kh) S.
 
-numpy is imported only where arrays are built: Trajectory and the k sweep.
+numpy is imported only inside the functions that build or read arrays,
+never when the module is imported.
 """
 
 from __future__ import annotations
@@ -129,28 +134,97 @@ def default_step(rt: RTParams, base: float = 1e-4) -> float:
     return base / max(speed, 1.0)
 
 
+def _stage_push(rhs, h):
+    """Entries (e11, e12, e21, e22) of S - I, where S is the classical RK4
+    step of (x, y)' = rhs(t, x, y) from t = 0 with length h.
+
+    S is linear in the state, so pushing e1 and e2 through the four
+    stages gives its columns; the increment h/6 (k1 + 2 k2 + 2 k3 + k4)
+    is kept apart from the identity.  rhs, h and the result may hold
+    floats or numpy arrays (one matrix per element).
+    """
+
+    def push(x, y):
+        k1x, k1y = rhs(0.0, x, y)
+        k2x, k2y = rhs(0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = rhs(0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = rhs(h, x + h * k3x, y + h * k3y)
+        return (
+            h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        )
+
+    e11, e21 = push(1.0, 0.0)
+    e12, e22 = push(0.0, 1.0)
+    return e11, e12, e21, e22
+
+
 def _rk4_increment(a11, a12, a21, a22, h):
     """Entries (e11, e12, e21, e22) of P(hA) - I for the RK4 step of X' = AX.
 
     One classical RK4 step of a linear field is multiplication by
     P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so it is
-    x <- x + E x with E = hA (I + hA/2 (I + hA/3 (I + hA/4))).  Callers
-    add the identity in that update: folded into P, the rounding of each
-    diagonal entry would be repeated by every step, an error growing like
-    the step count; kept in E it scales with the O(h) increment instead.
-    The entries and h may be floats or numpy arrays, giving one matrix
-    per element.
+    x <- x + E x with E = P(hA) - I, found by pushing e1 and e2 through
+    the four stages.  Callers add the identity in that update: folded
+    into P, the rounding of each diagonal entry would be repeated by
+    every step, an error growing like the step count; kept in E it
+    scales with the O(h) increment instead.  The stages are evaluated
+    in the same order as the co-rotating ones of _corotating_increment,
+    so that at spin rate 0 both give the same bits, which block powers
+    would otherwise magnify.  The entries and h may be floats or numpy
+    arrays, giving one matrix per element.
     """
-    b11, b12, b21, b22 = h * a11, h * a12, h * a21, h * a22
-    e11, e12, e21, e22 = b11, b12, b21, b22
-    for j in (4.0, 3.0, 2.0):
-        e11, e12, e21, e22 = (
-            b11 + (b11 * e11 + b12 * e21) / j,
-            b12 + (b11 * e12 + b12 * e22) / j,
-            b21 + (b21 * e11 + b22 * e21) / j,
-            b22 + (b21 * e12 + b22 * e22) / j,
+    return _stage_push(lambda _t, u, v: (a11 * u + a12 * v, a21 * u + a22 * v), h)
+
+
+# Most steps advanced per numpy expression by the step-matrix loops.
+# Longer blocks would save little Python time per step but would grow
+# the (_BLOCK x 360) norm array of the spiral start-angle sweep.
+_BLOCK = 256
+# Bound on the rounding error of a blocked state, in units of eps times
+# the state's own norm (see _powers).
+_MAX_ERROR_GAIN = 16.0
+
+
+def _powers(e11, e12, e21, e22):
+    """Entries of P^j - I for j = 1..m, given those of E = P - I.
+
+    Returns d of shape (2, m, 2) with d[:, j - 1, :] = P^j - I, so a state
+    x gives the next m states as x + d @ x, one column per step.  The
+    powers come by doubling with (I + D_a)(I + D_b) - I =
+    D_a + D_b + D_a D_b, which keeps the identity out of every entry, as
+    in _rk4_increment.
+
+    m is _BLOCK, or less where a longer block would lose accuracy:
+    x + D x rounds with an error of about eps (1 + |D|) |x|, at most
+    (1 + |D|_F) |I + D|_F / |det(I + D)| times eps |(I + D) x|, and the
+    block ends before that gain exceeds _MAX_ERROR_GAIN.  Uncapped, a
+    state that shrinks by many orders within a block (a coarse step on
+    a fast decay) would keep only the absolute accuracy of the block's
+    first state, where one-at-a-time stepping keeps it relative, and a
+    power that overflows would turn a zero state component into nan.
+    m = 1 is one-at-a-time stepping.
+    """
+    import numpy as np
+    d = np.empty((_BLOCK, 2, 2))
+    d[0] = (e11, e12), (e21, e22)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = 1
+        while m < _BLOCK:
+            last, low = d[m - 1], d[:m]
+            d[m:2 * m] = (last + low) + last @ low
+            m *= 2
+        d11, d12, d21, d22 = d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1]
+        p11, p22 = 1.0 + d11, 1.0 + d22
+        gain = (
+            (1.0 + np.sqrt(d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22))
+            * np.sqrt(p11 * p11 + d12 * d12 + d21 * d21 + p22 * p22)
+            / np.abs(p11 * p22 - d12 * d21)
         )
-    return e11, e12, e21, e22
+    too_big = ~(gain <= _MAX_ERROR_GAIN)  # nan included
+    if too_big.any():
+        d = d[:max(1, int(too_big.argmax()))]
+    return np.ascontiguousarray(d.transpose(1, 0, 2))
 
 
 def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
@@ -158,23 +232,29 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
 
     increment(h) returns the entries of E for a step of length h; it is
     called once for the full steps and once for a partial final step.
+    The full steps go a block at a time through the powers of I + E.
     """
     _check_grid(step, t_end)
     x, y = float(x0[0]), float(x0[1])
     if x == 0.0 and y == 0.0:
         raise InvalidInputError("initial state must be nonzero")
     n_full, rem = _grid(step, t_end)
-    xs = [x]
-    ys = [y]
-    for h, n in ((step, n_full), (rem, 1 if rem else 0)):
-        if n:
-            e11, e12, e21, e22 = increment(h)
-            for _ in range(n):
-                x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
-                xs.append(x)
-                ys.append(y)
-    _check_finite(x, y, t_end)
-    return _sample_times(n_full, step, rem, t_end), xs, ys
+    import numpy as np
+    xs = np.empty((2, n_full + (2 if rem else 1)))
+    xs[:, 0] = x, y
+    # an overflow ends as inf or nan in the last state, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_full:
+            d = _powers(*increment(step))
+            for i in range(0, n_full, d.shape[1]):
+                m = min(d.shape[1], n_full - i)
+                np.add(d[:, :m] @ xs[:, i], xs[:, i, None], out=xs[:, i + 1:i + 1 + m])
+        if rem:
+            e11, e12, e21, e22 = increment(rem)
+            x, y = xs[:, n_full].tolist()
+            xs[:, -1] = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+    _check_finite(*xs[:, -1].tolist(), t_end)
+    return _sample_times(n_full, step, rem, t_end), xs[0], xs[1]
 
 
 def integrate_linear(
@@ -231,6 +311,11 @@ def integrate_polar(
 ) -> Trajectory:
     """RK4 on the decoupled polar system dr = r R(theta), dtheta = T(theta).
 
+    The angle is stepped alone, four sines per step.  One RK4 step then
+    multiplies r by 1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is stage
+    i's radial slope per unit radius, a function of the step's start
+    angle and length only; so all the factors, their cumulative product
+    and the samples are array expressions over the angle sequence.
     Samples are returned in Cartesian form (r cos theta, r sin theta);
     the initial angle is taken as given, unnormalized.
     """
@@ -241,39 +326,46 @@ def integrate_polar(
         raise InvalidInputError(f"theta0 must be finite, got {theta0!r}")
     m_r, m_t, p = rt.m_r, rt.m_t, rt.p
     phase = rt.theta_r.value if rt.theta_r is not None else 0.0
-    cos, sin = math.cos, math.sin
-
-    def rk4(r: float, th: float, h: float) -> tuple[float, float]:
-        u = 2.0 * (th - phase)
-        k1r = r * (m_r + p * cos(u))
-        k1t = m_t - p * sin(u)
-        u = 2.0 * (th + 0.5 * h * k1t - phase)
-        k2r = (r + 0.5 * h * k1r) * (m_r + p * cos(u))
-        k2t = m_t - p * sin(u)
-        u = 2.0 * (th + 0.5 * h * k2t - phase)
-        k3r = (r + 0.5 * h * k2r) * (m_r + p * cos(u))
-        k3t = m_t - p * sin(u)
-        u = 2.0 * (th + h * k3t - phase)
-        k4r = (r + h * k3r) * (m_r + p * cos(u))
-        k4t = m_t - p * sin(u)
-        return (
-            r + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            th + h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
-        )
-
-    r, th = float(r0), float(theta0)
-    xs = [r * cos(th)]
-    ys = [r * sin(th)]
+    sin = math.sin
     n_full, rem = _grid(step, t_end)
-    for _ in range(n_full):
-        r, th = rk4(r, th, step)
-        xs.append(r * cos(th))
-        ys.append(r * sin(th))
-    if rem:
-        r, th = rk4(r, th, rem)
-        xs.append(r * cos(th))
-        ys.append(r * sin(th))
-    _check_finite(r, th, t_end)
+    th = float(theta0)
+    ths = [th]
+    append = ths.append
+    for h, n in ((step, n_full), (rem, 1 if rem else 0)):
+        hh, h6 = 0.5 * h, h / 6.0
+        for _ in range(n):
+            k1 = m_t - p * sin(2.0 * (th - phase))
+            k2 = m_t - p * sin(2.0 * (th + hh * k1 - phase))
+            k3 = m_t - p * sin(2.0 * (th + hh * k2 - phase))
+            k4 = m_t - p * sin(2.0 * (th + h * k3 - phase))
+            th = th + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            append(th)
+
+    import numpy as np
+    theta = np.fromiter(ths, float, len(ths))
+    th = theta[:-1]
+    h = np.append(np.full(n_full, step), rem) if rem else step
+    # The stages again, for all steps at once; stage 1 takes the sine and
+    # cosine of 2 (theta - phase) from the samples' own, by double angles.
+    # An overflow ends as inf or nan in the last radius, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = np.cos(theta), np.sin(theta)
+        c2, s2 = ((c - s) * (c + s))[:-1], (2.0 * c * s)[:-1]
+        c2p, s2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
+        k = m_t - p * (s2 * c2p - c2 * s2p)
+        g1 = m_r + p * (c2 * c2p + s2 * s2p)
+        u = 2.0 * (th + 0.5 * h * k - phase)
+        k = m_t - p * np.sin(u)
+        g2 = (1.0 + 0.5 * h * g1) * (m_r + p * np.cos(u))
+        u = 2.0 * (th + 0.5 * h * k - phase)
+        k = m_t - p * np.sin(u)
+        g3 = (1.0 + 0.5 * h * g2) * (m_r + p * np.cos(u))
+        u = 2.0 * (th + h * k - phase)
+        g4 = (1.0 + h * g3) * (m_r + p * np.cos(u))
+        f = 1.0 + h / 6.0 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        r = float(r0) * np.cumprod(np.append(1.0, f))
+        xs, ys = r * c, r * s
+    _check_finite(float(r[-1]), float(theta[-1]), t_end)
     return _trajectory(_sample_times(n_full, step, rem, t_end), xs, ys, step, "rk4_polar")
 
 
@@ -341,11 +433,10 @@ def _corotating_increment(a: Mat2, k, h: float, xp):
     """Entries of C - I, where C = R(kh) S is the RK4 step of X' = B_k(t) X
     seen in z = R(kt) X.
 
-    S is the RK4 step of B_k from t = 0, found by pushing e1 and e2
-    through the four stages; C - I = R(kh) (S - I) + (R(kh) - I) keeps
-    the increment apart from the identity, as in _rk4_increment.  k may
-    be a float (xp = math) or a numpy array of rates (xp = numpy),
-    giving one matrix per rate.
+    S is the RK4 step of B_k from t = 0 (_stage_push); C - I =
+    R(kh) (S - I) + (R(kh) - I) keeps the increment apart from the
+    identity, as in _rk4_increment.  k may be a float (xp = math) or a
+    numpy array of rates (xp = numpy), giving one matrix per rate.
     """
     a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
 
@@ -358,18 +449,7 @@ def _corotating_increment(a: Mat2, k, h: float, xp):
         fv = a21 * u + a22 * v
         return (c * fu + s * fv, -s * fu + c * fv)
 
-    def rk4_increment(x, y):
-        k1x, k1y = rhs(0.0, x, y)
-        k2x, k2y = rhs(0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = rhs(0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        k4x, k4y = rhs(h, x + h * k3x, y + h * k3y)
-        return (
-            h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        )
-
-    d11, d21 = rk4_increment(1.0, 0.0)
-    d12, d22 = rk4_increment(0.0, 1.0)
+    d11, d12, d21, d22 = _stage_push(rhs, h)
     c, s = xp.cos(k * h), xp.sin(k * h)
     c1 = -2.0 * xp.sin(0.5 * k * h) ** 2  # cos(kh) - 1 without cancellation
     return (
@@ -390,11 +470,10 @@ def integrate_nonaut(
     the angle taken from t_n itself so rotation error never accumulates.
     """
     k = cfg.k
-    ts, zs, ws = _step_linear(
+    ts, z, w = _step_linear(
         lambda h: _corotating_increment(cfg.base, k, h, math), x0, step, t_end
     )
     import numpy as np
-    z, w = np.array(zs), np.array(ws)
     c, s = np.cos(k * ts), np.sin(k * ts)
     return _trajectory(ts, c * z + s * w, c * w - s * z, step, "rk4_nonaut")
 

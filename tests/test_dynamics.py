@@ -26,7 +26,7 @@ from reactlin import (
     sweep_rotation_rates,
     transient_summary,
 )
-from reactlin.dynamics import _rk4_increment
+from reactlin.dynamics import _BLOCK, _corotating_increment, _rk4_increment, _step_linear
 from reactlin.spectra import ComplexPairEigen
 from conftest import (
     A_SADDLE,
@@ -80,6 +80,70 @@ class TestRk4Kernel:
         assert got.shape == (4, 50)
         want = np.array(self.reference_columns(*entries, h))
         assert np.abs(got - want).max() <= 1e-14
+
+    def test_zero_rate_corotating_increment_is_bit_identical(self, rng):
+        # block powers would magnify even a 1-ulp gap between the two, and
+        # `trajectory --k 0` must reproduce `trajectory` byte for byte
+        for _ in range(200):
+            a = random_mat2(rng, -5, 5)
+            h = float(rng.uniform(1e-5, 0.3))
+            want = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
+            assert _corotating_increment(a, 0.0, h, math) == want
+
+
+def sequential_gap(xs, ys, x0, increments):
+    """Largest gap between (xs, ys) and x <- x + E x stepped once per E in
+    increments, relative to the sequential state's norm."""
+    x, y = x0
+    ref = [(x, y)]
+    for e11, e12, e21, e22 in increments:
+        x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+        ref.append((x, y))
+    ref = np.array(ref)
+    assert len(xs) == len(ys) == len(ref)
+    gap = np.hypot(xs - ref[:, 0], ys - ref[:, 1])
+    return (gap / np.hypot(ref[:, 0], ref[:, 1])).max()
+
+
+class TestBlockStepping:
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("n_full", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_000])
+    def test_matches_sequential_steps(self, n_full, partial):
+        a, step = A_SPIRAL, 1e-3
+        t_end = (n_full + (0.37 if partial else 0.0)) * step
+
+        def increment(h):
+            return _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
+
+        ts, xs, ys = _step_linear(increment, (0.6, -0.8), step, t_end)
+        increments = [increment(step)] * n_full
+        if partial:
+            increments.append(increment(t_end - n_full * step))
+        assert ts[-1] == t_end
+        assert sequential_gap(xs, ys, (0.6, -0.8), increments) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a, x0, step, n_full",
+        [
+            (Mat2(-1.0, 0.0, 0.0, -1.0), (0.6, 0.8), 0.2, 1000),  # e^-51 per 256 steps
+            (Mat2(-100.0, 0.0, 0.0, -1.0), (1.0, 0.0), 1e-3, 1000),  # fast axis only
+            (Mat2(-1.0, -8.0, 0.0, -3.0), (0.6, 0.8), 0.05, 2000),
+        ],
+    )
+    def test_coarse_step_on_fast_decay_keeps_relative_accuracy(self, a, x0, step, n_full):
+        # a state that shrinks by many orders within 256 steps must still
+        # be accurate relative to itself, as one-at-a-time stepping is
+        traj = integrate_linear(a, x0, step, n_full * step)
+        increments = [_rk4_increment(a.a11, a.a12, a.a21, a.a22, step)] * n_full
+        assert sequential_gap(traj.x1, traj.x2, x0, increments) <= 1e-12
+
+    def test_fast_growth_leaves_other_component_exact(self):
+        # one step grows x1 2.2-fold: P^1024 and higher powers overflow,
+        # and inf * 0 would turn the zero component into nan
+        traj = integrate_linear(Mat2(800.0, 0.0, 0.0, -1.0), (0.0, 1.0), 1e-3, 10.0)
+        assert np.all(traj.x1 == 0.0)
+        assert np.all(np.isfinite(traj.x2)) and np.all(np.diff(traj.x2) < 0.0)
+        assert traj.x2[-1] == pytest.approx(math.exp(-10.0), rel=1e-9)
 
 
 class TestMatrixExponential:
@@ -186,7 +250,57 @@ class TestIntegrateLinear:
             integrate_linear(A_TRIANGULAR, (1.0, 0.0), 1e-3, 0.0)
 
 
+def polar_rk4_reference(rt, r0, theta0, step, t_end):
+    """Radii and angles of RK4 on dr = r R(theta), dtheta = T(theta),
+    stage by stage, one step at a time."""
+    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
+    phase = rt.theta_r.value if rt.theta_r is not None else 0.0
+    cos, sin = math.cos, math.sin
+
+    def rk4(r, th, h):
+        u = 2.0 * (th - phase)
+        k1r = r * (m_r + p * cos(u))
+        k1t = m_t - p * sin(u)
+        u = 2.0 * (th + 0.5 * h * k1t - phase)
+        k2r = (r + 0.5 * h * k1r) * (m_r + p * cos(u))
+        k2t = m_t - p * sin(u)
+        u = 2.0 * (th + 0.5 * h * k2t - phase)
+        k3r = (r + 0.5 * h * k2r) * (m_r + p * cos(u))
+        k3t = m_t - p * sin(u)
+        u = 2.0 * (th + h * k3t - phase)
+        k4r = (r + h * k3r) * (m_r + p * cos(u))
+        k4t = m_t - p * sin(u)
+        return (
+            r + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+            th + h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
+        )
+
+    n_full = int(math.floor(t_end / step + 1e-9))
+    r, th = r0, theta0
+    rs, ths = [r], [th]
+    for h in [step] * n_full + [t_end - n_full * step]:
+        r, th = rk4(r, th, h)
+        rs.append(r)
+        ths.append(th)
+    return np.array(rs), np.array(ths)
+
+
 class TestIntegratePolar:
+    def test_matches_stagewise_reference(self, rng):
+        # 1e4 steps plus a partial one; the angle loop is the reference's
+        # arithmetic, the radius a product of per-step factors
+        for a in [A_SPIRAL, A_SADDLE] + [random_mat2(rng) for _ in range(20)]:
+            rt = decompose(a)
+            step = 1e-3 / max(max_speed(a), 1.0)
+            t_end = (10_000 + 0.37) * step
+            th0 = float(rng.uniform(-3.0, 3.0))
+            traj = integrate_polar(rt, 1.5, th0, step, t_end)
+            r, th = polar_rk4_reference(rt, 1.5, th0, step, t_end)
+            assert len(traj.t) == len(r) == 10_002
+            gap = np.hypot(traj.x1 - r * np.cos(th), traj.x2 - r * np.sin(th))
+            assert (gap / r).max() <= 1e-12
+            assert np.abs(traj.theta - th).max() <= 1e-13
+
     def test_flat_curves_fix_the_angle(self):
         rt = decompose(Mat2(-0.7, 0, 0, -0.7))
         traj = integrate_polar(rt, 2.0, 0.3, 1e-3, 1.0)
