@@ -11,7 +11,9 @@ eigen/orthovalues; midlines and separations; the two arc radii) serve
 as a runtime concordance check on real spectra, two strict upper bounds
 come from each arc radius alone, and an independent oracle, fixed-step
 RK4 on X' = AX itself (a block of step-matrix powers per array
-expression), reproduces all three outputs.
+expression), reproduces all three outputs.  On a spiral the oracle's
+value is guarded by the exact 2-norms of those powers, the most that
+any start gains.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -248,47 +250,32 @@ def _refine_crossing(
     return xm, ym, mid
 
 
-def _sweep_initial_angles(
-    a: Mat2, duration: float, h: float, n_angles: int, seed: int
-) -> float:
-    """Vectorized safety net: max gain over many unit starting states.
+def _max_power_norm(a: Mat2, n_steps: int, h: float) -> float:
+    """Largest 2-norm of P^j for j = 0..n_steps, P the RK4 step matrix of A.
 
-    Only norms are needed.  With D_j = P^j - I, the states of a block,
-    x_{b+j} = (I + D_j) x_b, have |x_{b+j}|^2 = x_b^T G_j x_b where
-    G_j = (I + D_j)^T (I + D_j), so each block of steps is one
-    (steps x 3) by (3 x angles) matrix product, and the states themselves
-    advance from block end to block end.
+    |P^j|_2 is the most any unit start gains in j steps, so this bounds
+    the gain of every starting angle at once.  A 2x2 matrix M has
+    |M|_2 = (|z1| + |z2|) / 2 with z1 = (m11 + m22) + i (m21 - m12) and
+    z2 = (m11 - m22) + i (m12 + m21), hypot(m_R, m_T) + p of M, which
+    avoids the cancellation in the eigenvalues of M^T M.  The powers come
+    a block at a time: with D_j = P^j - I from _powers and Q = P^b the
+    power at the block's start, P^(b+j) = Q + D_j Q.
     """
     import numpy as np
-    rng = np.random.default_rng(seed)
-    th = rng.uniform(0.0, 2.0 * math.pi / n_angles) + np.arange(n_angles) * (
-        2.0 * math.pi / n_angles
-    )
-    x, y = np.cos(th), np.sin(th)
     d = _powers(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, h))
-    p11, p12, p21, p22 = 1.0 + d[0, :, 0], d[0, :, 1], d[1, :, 0], 1.0 + d[1, :, 1]
-    gram = np.stack(  # (g11, 2 g12, g22) of each G_j
-        (p11 * p11 + p21 * p21, 2.0 * (p11 * p12 + p21 * p22), p12 * p12 + p22 * p22),
-        axis=1,
-    )
-    best = 1.0  # largest |x|^2 seen so far
-    n_steps = int(math.ceil(duration / h))
+    q = np.eye(2)
+    best = 1.0  # |P^0|_2
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n_steps, len(gram)):
-            m = min(len(gram), n_steps - i)
-            best = max(best, float((gram[:m] @ np.stack((x * x, x * y, y * y))).max()))
-            (e11, e12), (e21, e22) = d[:, m - 1].tolist()
-            x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
-    return math.sqrt(best)
+        for i in range(0, n_steps, d.shape[1]):
+            p = d[:, :min(d.shape[1], n_steps - i)] @ q + q[:, None, :]
+            (p11, p12), (p21, p22) = p[0].T, p[1].T
+            norms = np.hypot(p11 + p22, p21 - p12) + np.hypot(p11 - p22, p12 + p21)
+            best = max(best, 0.5 * float(norms.max()))
+            q = p[:, -1]
+    return best
 
 
-def rho_max_numeric(
-    a: Mat2,
-    step: float | None = None,
-    *,
-    seed: int = 0,
-    n_sweep_angles: int = 360,
-) -> AmplificationResult:
+def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     """Measure maximal amplification by time-stepping X' = AX with RK4.
 
     Starts a unit perturbation on the entrance orthovector and rides it
@@ -299,9 +286,10 @@ def rho_max_numeric(
     its length to 1e-12 in angle.  MAX_STEPS bounds the steps taken.
     With real eigenvalues one traversal is the answer; a spiral (complex
     pair) keeps circulating, so per-revolution peaks are tracked until
-    they decay, and a vectorized sweep of starting angles (seeded jitter)
-    guards the result from below.  A reflected matrix (m_T < 0) is
-    stepped in its canonical, reflected form.
+    they decay, and the largest 2-norm of the step-matrix powers over two
+    periods (_max_power_norm), the most any start gains, guards the
+    result from below.  A reflected matrix (m_T < 0) is stepped in its
+    canonical, reflected form.
 
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate.
@@ -372,14 +360,8 @@ def rho_max_numeric(
 
     if is_spiral:
         period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
-        sweep_rho = _sweep_initial_angles(
-            canon,
-            duration=2.0 * period,
-            h=min(default_step(rt, 1e-2), period / 512.0),
-            n_angles=n_sweep_angles,
-            seed=seed,
-        )
-        rho = max(rho, sweep_rho)
+        h = min(default_step(rt, 1e-2), period / 512.0)
+        rho = max(rho, _max_power_norm(canon, int(math.ceil(2.0 * period / h)), h))
 
     if not rho >= 1.0 - 1e-9:
         raise NumericFailureError(f"numeric amplification {rho} fell below 1")

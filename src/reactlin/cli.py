@@ -84,8 +84,6 @@ def _json(obj) -> str:
                 out.append(ch)
         out.append('"')
         return "".join(out)
-    if isinstance(obj, bool):  # pragma: no cover - handled above
-        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -20,7 +20,10 @@ satisfies -k in (mu2, mu1), the band of angular velocities found on
 the reactive arc.  Its RK4 step is constant in that frame too: with
 B_k(t0 + s) = R(-k t0) B_k(s) R(k t0), the step from t0 is
 R(-k t0) S R(k t0), where S is the step from 0, so z = R(kt) x advances
-by the fixed matrix R(kh) S.
+by the fixed matrix R(kh) S.  integrate_nonaut keeps that RK4 of B_k,
+so that comparing it with integrate_linear of A + k J checks the frame
+change; the k-sweep needs only norms, |X(t)| = |e^{(A + kJ) t} x0|, and
+takes them from the matrix exponential instead of time-stepping.
 
 numpy is imported only inside the functions that build or read arrays,
 never when the module is imported.
@@ -177,9 +180,8 @@ def _rk4_increment(a11, a12, a21, a22, h):
     return _stage_push(lambda _t, u, v: (a11 * u + a12 * v, a21 * u + a22 * v), h)
 
 
-# Most steps advanced per numpy expression by the step-matrix loops.
-# Longer blocks would save little Python time per step but would grow
-# the (_BLOCK x 360) norm array of the spiral start-angle sweep.
+# Most steps advanced per numpy expression by the step-matrix loops;
+# longer blocks would save little Python time per step.
 _BLOCK = 256
 # Bound on the rounding error of a blocked state, in units of eps times
 # the state's own norm (see _powers).
@@ -429,20 +431,19 @@ def repulsion_window(a: Mat2) -> tuple[float, float]:
     return (-ortho.mu1, -ortho.mu2)
 
 
-def _corotating_increment(a: Mat2, k, h: float, xp):
+def _corotating_increment(a: Mat2, k: float, h: float):
     """Entries of C - I, where C = R(kh) S is the RK4 step of X' = B_k(t) X
     seen in z = R(kt) X.
 
     S is the RK4 step of B_k from t = 0 (_stage_push); C - I =
     R(kh) (S - I) + (R(kh) - I) keeps the increment apart from the
-    identity, as in _rk4_increment.  k may be a float (xp = math) or a
-    numpy array of rates (xp = numpy), giving one matrix per rate.
+    identity, as in _rk4_increment.
     """
     a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
 
     def rhs(t, x, y):
-        c = xp.cos(k * t)
-        s = xp.sin(k * t)
+        c = math.cos(k * t)
+        s = math.sin(k * t)
         u = c * x - s * y
         v = s * x + c * y
         fu = a11 * u + a12 * v
@@ -450,8 +451,8 @@ def _corotating_increment(a: Mat2, k, h: float, xp):
         return (c * fu + s * fv, -s * fu + c * fv)
 
     d11, d12, d21, d22 = _stage_push(rhs, h)
-    c, s = xp.cos(k * h), xp.sin(k * h)
-    c1 = -2.0 * xp.sin(0.5 * k * h) ** 2  # cos(kh) - 1 without cancellation
+    c, s = math.cos(k * h), math.sin(k * h)
+    c1 = -2.0 * math.sin(0.5 * k * h) ** 2  # cos(kh) - 1 without cancellation
     return (
         c * d11 - s * d21 + c1,
         c * d12 - s * d22 - s,
@@ -471,7 +472,7 @@ def integrate_nonaut(
     """
     k = cfg.k
     ts, z, w = _step_linear(
-        lambda h: _corotating_increment(cfg.base, k, h, math), x0, step, t_end
+        lambda h: _corotating_increment(cfg.base, k, h), x0, step, t_end
     )
     import numpy as np
     c, s = np.cos(k * ts), np.sin(k * ts)
@@ -521,18 +522,22 @@ def sweep_rotation_rates(
     n: int,
     step: float = 5e-3,
     t_end: float = 50.0,
-    x0: tuple[float, float] = (1.0, 0.0),
-    n_norm_samples: int = 512,
 ) -> SweepResult:
     """Classify growth/decay of the spun system over a grid of rates k.
 
-    All rates integrate in lockstep as one vectorized RK4 run in the
-    co-rotating frame z = R(kt) X, where each rate's step is one fixed
-    matrix (see _corotating_increment) and |z| = |X| because a rotation keeps
-    the norm; log-norm samples are kept at ~n_norm_samples times for the
-    slope fit.  The empirical window boundary is the midpoint between the
-    last decaying and first growing grid rates on each side (grid
-    endpoints when the growing block touches the edge of the grid).
+    In the co-rotating frame z = R(kt) X the spun system is X' = (A + kJ) X,
+    and |z| = |X| because a rotation keeps the norm, so the norm from
+    x0 = (1, 0) is exactly |e^{(A + kJ) t} x0|.  t_end is cut into
+    N = ceil(t_end / step) equal steps, and the log-norm is sampled at
+    every (N // 512)-th step and at t_end: each rate's state advances from
+    sample to sample by the exact propagator e^{(A + kJ) dt}
+    (matrix_exponential, once for the common interval and once for a
+    shorter last one) and is renormalized, so fast growth or decay
+    cannot overflow; the true log-norm is the running sum.  A propagator
+    or log-norm that is not finite raises NumericFailureError.  The
+    empirical window boundary is the midpoint between the last decaying
+    and first growing grid rates on each side (grid endpoints when the
+    growing block touches the edge of the grid).
     """
     _check_grid(step, t_end)
     if n < 2:
@@ -543,33 +548,29 @@ def sweep_rotation_rates(
 
     import numpy as np
     ks = np.linspace(k_min, k_max, n)
-    x = np.full(n, float(x0[0]))
-    y = np.full(n, float(x0[1]))
-    if x[0] == 0.0 and y[0] == 0.0:
-        raise InvalidInputError("initial state must be nonzero")
-
     n_steps = int(math.ceil(t_end / step))
     h = t_end / n_steps
-    e11, e12, e21, e22 = _corotating_increment(a, ks, h, np)
-    keep_every = max(1, n_steps // n_norm_samples)
-    # Renormalizing the state each step is exact for a linear system and
-    # keeps very fast growth/decay away from overflow; the true log-norm
-    # is the running accumulator.
-    acc = np.log(np.hypot(x, y))
-    ts = [0.0]
-    logs = [acc.copy()]
-    for i in range(n_steps):
-        x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
-        m = np.hypot(x, y)
-        acc = acc + np.log(m)
-        x /= m
-        y /= m
-        if (i + 1) % keep_every == 0 or i == n_steps - 1:
-            ts.append((i + 1) * h)
-            logs.append(acc.copy())
+    every = max(1, n_steps // 512)
+    n_full, rem = divmod(n_steps, every)
+    idx = np.arange(0, n_steps + 1, every)
+    t_arr = (np.append(idx, n_steps) if rem else idx) * h
 
-    t_arr = np.array(ts)
-    log_arr = np.array(logs)  # shape (n_times, n)
+    def propagators(dt: float) -> np.ndarray:
+        mats = [matrix_exponential(a + QUARTER_TURN.scaled(k), dt) for k in ks.tolist()]
+        return np.array([(m.a11, m.a12, m.a21, m.a22) for m in mats]).T
+
+    intervals = [propagators(every * h)] * n_full + ([propagators(rem * h)] if rem else [])
+    log_arr = np.zeros((len(t_arr), n))  # log-norm of each sample and rate
+    x, y = np.ones(n), np.zeros(n)
+    # a zero or non-finite norm ends as -inf or nan in the last row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (e11, e12, e21, e22) in enumerate(intervals, 1):
+            x, y = e11 * x + e12 * y, e21 * x + e22 * y
+            r = np.hypot(x, y)
+            log_arr[i] = log_arr[i - 1] + np.log(r)
+            x, y = x / r, y / r
+    if not np.isfinite(log_arr[-1]).all():
+        raise NumericFailureError("log-norm of the spun system is not finite")
     points = []
     for j in range(n):
         slope = log_norm_slope(t_arr, log_arr[:, j])

@@ -23,6 +23,7 @@ from enum import Enum
 
 from .core import (
     Mat2,
+    _norm_mod_pi,
     decompose,
     eval_radial,
     eval_radial_slope,
@@ -68,19 +69,10 @@ class StandardFormResult:
     gamma: float
 
 
-def _min_magnitude_mod_pi(gamma: float) -> float:
-    g = math.fmod(gamma, math.pi)
-    if g < 0.0:
-        g += math.pi
-    if g >= math.pi:
-        g -= math.pi
+def _build(a: Mat2, kind: StandardFormKind, gamma: float) -> StandardFormResult:
+    g = _norm_mod_pi(gamma)
     if g > math.pi / 2:
         g -= math.pi
-    return g
-
-
-def _build(a: Mat2, kind: StandardFormKind, gamma: float) -> StandardFormResult:
-    g = _min_magnitude_mod_pi(gamma)
     return StandardFormResult(kind=kind, matrix=rotate_conjugate(a, g), gamma=g)
 
 

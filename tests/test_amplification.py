@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,8 @@ from reactlin import (
     rho_max_numeric,
     rotate_conjugate,
 )
+from reactlin.amplification import _max_power_norm
+from reactlin.dynamics import default_step
 from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, random_reactive_attractor
 
 SQRT17 = math.sqrt(17.0)
@@ -272,6 +275,58 @@ class TestNumericOracle:
             assert numeric < rho_max_bound_eigen(a)
 
     def test_seeded_sweep_is_deterministic(self):
-        a = rho_max_numeric(A_SPIRAL, step=1e-3, seed=7)
-        b = rho_max_numeric(A_SPIRAL, step=1e-3, seed=7)
+        a = rho_max_numeric(A_SPIRAL, step=1e-3)
+        b = rho_max_numeric(A_SPIRAL, step=1e-3)
         assert a.rho_max == b.rho_max and a.t_max == b.t_max
+
+
+def random_reactive_spiral(rng) -> Mat2:
+    """Reactive attractor with a complex pair: |m_R| < p < |m_T|."""
+    m_r = -rng.uniform(0.1, 3.0)
+    p = -m_r / rng.uniform(0.1, 0.95)
+    m_t = p * (1.0 + rng.uniform(0.05, 2.0)) * rng.choice([-1.0, 1.0])
+    return reconstruct(RTParams(m_r, m_t, p, AngleModPi(rng.uniform(0.0, math.pi))))
+
+
+def rk4_step_matrix(a: Mat2, h: float) -> np.ndarray:
+    """The RK4 step of X' = AX, its columns pushed through the four stages."""
+    cols = []
+    for x, y in ((1.0, 0.0), (0.0, 1.0)):
+        k1 = a.apply(x, y)
+        k2 = a.apply(x + h / 2 * k1[0], y + h / 2 * k1[1])
+        k3 = a.apply(x + h / 2 * k2[0], y + h / 2 * k2[1])
+        k4 = a.apply(x + h * k3[0], y + h * k3[1])
+        cols.append([
+            x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            y + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        ])
+    return np.array(cols).T
+
+
+class TestSpiralGuard:
+    """The oracle's spiral guard, the largest |P^j|_2 over two periods."""
+
+    def test_equals_largest_power_norm(self, rng):
+        spirals = [A_SPIRAL, *(random_reactive_spiral(rng) for _ in range(20))]
+        angles = np.radians(np.arange(360))
+        starts = np.array([np.cos(angles), np.sin(angles)])
+        for a in spirals:
+            rt = decompose(a)
+            assert isinstance(eigen_structure(rt), ComplexPairEigen)
+            period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
+            h = min(default_step(rt, 1e-2), period / 512.0)
+            n = math.ceil(2.0 * period / h)
+            step = rk4_step_matrix(a, h)
+            powers = [np.eye(2)]
+            for _ in range(n):
+                powers.append(step @ powers[-1])
+            powers = np.array(powers)
+            exact = float(np.linalg.norm(powers, 2, axis=(1, 2)).max())
+            guard = _max_power_norm(a, n, h)
+            assert guard == pytest.approx(exact, rel=1e-12, abs=0.0)
+            # it bounds every one of 360 sampled unit starts, up to rounding
+            sampled = max(
+                float(np.linalg.norm(powers[i:i + 512] @ starts, axis=1).max())
+                for i in range(0, n + 1, 512)
+            )
+            assert guard >= sampled * (1.0 - 1e-15)

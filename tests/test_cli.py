@@ -196,6 +196,14 @@ class TestSweepK:
         )
         assert code == 3 and "error:" in err
 
+    def test_unrepresentable_norm_exits_4(self, capsys):
+        # the criterion-9 spiral and grid times 2e4: no window is reported
+        code, out, err = run_cli(
+            capsys, "sweep-k", "--k-min", "-160000", "--k-max", "0", "--n", "161",
+            "--step", "5e-3", "--t-end", "50", "--", "14000", "-80000", "80000", "-94000",
+        )
+        assert code == 4 and "error:" in err and out == ""
+
 
 class TestSynthesize:
     def test_deltas_mode(self, capsys, schema):

@@ -88,7 +88,7 @@ class TestRk4Kernel:
             a = random_mat2(rng, -5, 5)
             h = float(rng.uniform(1e-5, 0.3))
             want = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
-            assert _corotating_increment(a, 0.0, h, math) == want
+            assert _corotating_increment(a, 0.0, h) == want
 
 
 def sequential_gap(xs, ys, x0, increments):
@@ -500,6 +500,30 @@ class TestSweep:
     def test_requires_reactive_attractor(self):
         with pytest.raises(InapplicableError):
             sweep_rotation_rates(Mat2(-3.0, 0.1, 0.0, -3.0), -8.0, 0.0, 5)
+
+    def test_slopes_fit_the_exact_norm(self):
+        # t_end / step <= 512 puts a sample at every multiple of step
+        step, t_end = 0.05, 20.0
+        res = sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, 17, step=step, t_end=t_end)
+        t = np.arange(round(t_end / step) + 1) * step
+        for pt in res.points:
+            e = corotating_matrix(NonautConfig(A_SPIRAL, pt.k))
+            logs = [math.log(math.hypot(*matrix_exponential(e, ti).apply(1.0, 0.0))) for ti in t]
+            assert abs(pt.log_slope - log_norm_slope(t, np.array(logs))) <= 1e-9
+
+    def test_stiff_spiral_window(self):
+        # the criterion-9 spiral and grid times 200: step * |A| is past
+        # RK4's stability limit, which the exact propagator does not have
+        c = 200.0
+        res = sweep_rotation_rates(A_SPIRAL.scaled(c), -8.0 * c, 0.0, 161, step=5e-3, t_end=50.0)
+        assert res.empirical_window is not None
+        assert res.max_abs_boundary_error <= 0.05 * c
+
+    @pytest.mark.parametrize("k_min", [-8.0, -1.0])  # growth overflows, decay underflows
+    def test_unrepresentable_norm_is_numeric_failure(self, k_min):
+        c = 2e4
+        with pytest.raises(NumericFailureError):
+            sweep_rotation_rates(A_SPIRAL.scaled(c), k_min * c, 0.0, 161, step=5e-3, t_end=50.0)
 
 
 class TestHelpers:
