@@ -11,9 +11,9 @@ eigen/orthovalues; midlines and separations; the two arc radii) serve
 as a runtime concordance check on real spectra, two strict upper bounds
 come from each arc radius alone, and an independent oracle, fixed-step
 RK4 on X' = AX itself (a block of step-matrix powers per array
-expression), reproduces all three outputs.  On a spiral the oracle's
-value is guarded by the exact 2-norms of those powers, the most that
-any start gains.
+expression), reproduces all three outputs in one crossing of the arc.
+On a spiral the oracle's value is guarded by the exact 2-norms of
+those powers, the most that any start gains.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -30,13 +30,12 @@ from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
 from .dynamics import _powers, _rk4_increment, default_step
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
-    Classification,
     ComplexPairEigen,
     DistinctRealEigen,
     DistinctRealOrtho,
+    _require_reactive_attractor,
     eigen_structure,
     ortho_structure,
-    transient_summary,
 )
 
 __all__ = [
@@ -133,13 +132,7 @@ def _reactive_rt(a: Mat2) -> tuple[RTParams, bool]:
     straight from the first decomposition.  Returns them and whether
     the reflection was applied.
     """
-    rt = decompose(a)
-    summary = transient_summary(rt)
-    if summary.classification is not Classification.REACTIVE_ATTRACTOR:
-        raise InapplicableError(
-            "maximal amplification is defined for reactive attractors only; "
-            f"system classifies as {summary.classification.value}"
-        )
+    rt = _require_reactive_attractor(decompose(a), "maximal amplification")
     if rt.m_t < 0.0:
         assert rt.theta_r is not None
         return RTParams(rt.m_r, -rt.m_t, rt.p, AngleModPi(-rt.theta_r.value)), True
@@ -229,25 +222,43 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
 # numeric oracle
 
 
-def _refine_crossing(
+def _exit_root(
     a: Mat2, x0: float, y0: float, h: float, cos_t: float, sin_t: float,
-) -> tuple[float, float, float]:
-    """Bisect the step length until the state's angle lands on target.
+) -> tuple[float, float]:
+    """Norm and length s of the partial RK4 step from (x0, y0) onto target.
 
-    target is given by its cosine and sine.  The pre-step state must sit
-    before target and a full step must reach or pass it.  Returns
-    (x, y, dt) at the crossing.
+    target is given by cos_t and sin_t; (x0, y0) lies before it and a full
+    step h reaches or passes it.  As P(sA) x0 = sum_{k<=4} s^k A^k x0 / k!,
+    g(s) = |x| sin(theta - target) is a quartic g[0] + ... + g[4] s^4 with
+    g(0) < 0 <= g(h).  Newton's method from the secant point solves it in
+    the bracket that the signs of g narrow, halving the bracket where a
+    step would leave it (g can peak inside a coarse step).  The root's
+    angle must lie within EXIT_ANGLE_TOL of target.
     """
+    g = [cos_t * y0 - sin_t * x0]
+    u, v = x0, y0
+    for k in (1, 2, 3, 4):  # (u, v) = A^k x0 / k!
+        u, v = a.apply(u / k, v / k)
+        g.append(cos_t * v - sin_t * u)
+    gh = g[0] + h * (g[1] + h * (g[2] + h * (g[3] + h * g[4])))
     lo, hi = 0.0, h
+    s = min(h, h * g[0] / (g[0] - gh))
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        e11, e12, e21, e22 = _rk4_increment(a.a11, a.a12, a.a21, a.a22, mid)
-        xm, ym = x0 + (e11 * x0 + e12 * y0), y0 + (e21 * x0 + e22 * y0)
-        off = (cos_t * ym - sin_t * xm) / math.hypot(xm, ym)  # sin(theta - target)
-        if abs(off) <= EXIT_ANGLE_TOL or hi - lo <= 2e-18 * h:
+        value = g[0] + s * (g[1] + s * (g[2] + s * (g[3] + s * g[4])))
+        slope = g[1] + s * (2.0 * g[2] + s * (3.0 * g[3] + s * 4.0 * g[4]))
+        lo, hi = (s, hi) if value < 0.0 else (lo, s)
+        s, prev = s - value / slope, s
+        if not lo <= s <= hi:
+            s = 0.5 * (lo + hi)
+        if s == prev:
             break
-        lo, hi = (mid, hi) if off < 0.0 else (lo, mid)
-    return xm, ym, mid
+    e11, e12, e21, e22 = _rk4_increment(a.a11, a.a12, a.a21, a.a22, s)
+    x, y = x0 + (e11 * x0 + e12 * y0), y0 + (e21 * x0 + e22 * y0)
+    r = math.hypot(x, y)
+    off = (cos_t * y - sin_t * x) / r  # sin(theta - target)
+    if not abs(off) <= EXIT_ANGLE_TOL:
+        raise NumericFailureError(f"arc exit missed by {off} in sin(angle)")
+    return r, s
 
 
 def _max_power_norm(a: Mat2, n_steps: int, h: float) -> float:
@@ -279,20 +290,19 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     """Measure maximal amplification by time-stepping X' = AX with RK4.
 
     Starts a unit perturbation on the entrance orthovector and rides it
-    across the reactive arc with the RK4 step matrix P, a block of steps
-    at a time: x_{n+j} = x_n + (P^j - I) x_n for the block's j.  The exit is
-    the first state of a block where sin(theta - exit angle) is no longer
-    negative; from the state before it, the step is refined by bisecting
-    its length to 1e-12 in angle.  MAX_STEPS bounds the steps taken.
-    With real eigenvalues one traversal is the answer; a spiral (complex
-    pair) keeps circulating, so per-revolution peaks are tracked until
-    they decay, and the largest 2-norm of the step-matrix powers over two
+    once across the reactive arc with the RK4 step matrix P, a block of
+    steps at a time: x_{n+j} = x_n + (P^j - I) x_n for the block's j.  The
+    exit lies on the first step after which sin(theta - exit angle) is no
+    longer negative, and _exit_root solves for it.  MAX_STEPS bounds the
+    steps taken, and a step that Jury's test finds unstable (P has an
+    eigenvalue on or outside the unit circle) raises.  On a spiral
+    (complex pair) the largest 2-norm of the step-matrix powers over two
     periods (_max_power_norm), the most any start gains, guards the
     result from below.  A reflected matrix (m_T < 0) is stepped in its
     canonical, reflected form.
 
     step is the RK4 time step; the default scales 1e-4 by the system's
-    fastest rate.
+    fastest rate (see default_step).
     """
     rt, reflected = _reactive_rt(a)
     ortho = _reactive_arc(rt)
@@ -304,61 +314,45 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
         raise InvalidInputError(f"step must be a positive real, got {step}")
 
     canon = reflect_conjugate(a) if reflected else a
-    entry = ortho.phi1.value
-    is_spiral = isinstance(eigen_structure(rt), ComplexPairEigen)
+    e11, e12, e21, e22 = _rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step)
+    # Jury's test on P = I + E (tr P = 2 + tr E, det P = 1 + tr E + det E),
+    # written in E so that no 1 - tiny cancels.  A stable P also keeps the
+    # states stepped below finite.
+    tr_e, det_e = e11 + e22, e11 * e22 - e12 * e21
+    if not (det_e > 0.0 and tr_e + det_e < 0.0 and 4.0 + 2.0 * tr_e + det_e > 0.0):
+        raise NumericFailureError(f"RK4 step {step} is unstable for this system")
     import numpy as np
-    d = _powers(*_rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step))
+    d = _powers(e11, e12, e21, e22)
 
-    x, y = math.cos(entry), math.sin(entry)
-    lnr0 = 0.0  # log of the norm divided out at each exit
-    peaks: list[tuple[float, float]] = []  # (lnr, t) at successive arc exits
+    entry = ortho.phi1.value
+    xy = np.array((math.cos(entry), math.sin(entry)))
     target = entry + 2.0 * ortho.delta_r
     cos_t, sin_t = math.cos(target), math.sin(target)
-    # One arc suffices for real spectra; a spiral needs the next pass to
-    # confirm the peaks are falling.  Angles rise across the arc (T > 0),
-    # so sin(theta - target) turns from negative to non-negative at the
-    # exit; the sign needs no division by the norm.  n counts the steps
-    # taken, and each block holds the next states x_{n+1} .. x_{n+m}.
-    needed = 2 if is_spiral else 1
+    # Angles rise across the arc (T > 0), so sin(theta - target) turns
+    # from negative to non-negative at the exit, a sign that needs no norm.
+    # R > 0 on the arc, so the norm only rises, from 1 to rho_max; n counts
+    # the steps taken, and a block holds x_{n+1} .. x_{n+m}.
     n = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n < MAX_STEPS:
-            m = min(d.shape[1], MAX_STEPS - n)
-            xy = np.array((x, y))
-            xs = d[:, :m] @ xy + xy[:, None]
-            past = cos_t * xs[1] - sin_t * xs[0] >= 0.0
-            i = int(past.argmax())
-            if not past[i]:
-                x, y = xs[:, -1].tolist()
-                n += m
-                continue
-            if i:
-                x, y = xs[:, i - 1].tolist()
-            xc, yc, dt = _refine_crossing(canon, x, y, step, cos_t, sin_t)
-            peaks.append((lnr0 + math.log(math.hypot(xc, yc)), (n + i) * step + dt))
-            if len(peaks) == needed:
-                break
-            cos_t, sin_t = -cos_t, -sin_t  # the next exit, half a turn on
-            x, y = xs[:, i].tolist()
-            r = math.hypot(x, y)
-            lnr0 += math.log(r)
-            x, y = x / r, y / r
-            n += i + 1
-        else:
-            raise NumericFailureError(
-                f"amplification oracle exceeded {MAX_STEPS} steps without "
-                "completing the required arc traversals"
-            )
-
-    if is_spiral and peaks[1][0] >= peaks[0][0]:
+    while n < MAX_STEPS:
+        m = min(d.shape[1], MAX_STEPS - n)
+        xs = d[:, :m] @ xy + xy[:, None]
+        past = cos_t * xs[1] - sin_t * xs[0] >= 0.0
+        i = int(past.argmax())
+        if past[i]:
+            break
+        xy = xs[:, -1]
+        n += m
+    else:
         raise NumericFailureError(
-            "per-revolution peaks are not decaying; system is not behaving "
-            "as an attractor numerically"
+            f"amplification oracle exceeded {MAX_STEPS} steps without "
+            "crossing the reactive arc"
         )
-    best_lnr, t_max = peaks[0]
-    rho = math.exp(best_lnr)
+    if i:
+        xy = xs[:, i - 1]
+    rho, dt = _exit_root(canon, *xy.tolist(), step, cos_t, sin_t)
+    t_max = (n + i) * step + dt
 
-    if is_spiral:
+    if isinstance(eigen_structure(rt), ComplexPairEigen):
         period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
         h = min(default_step(rt, 1e-2), period / 512.0)
         rho = max(rho, _max_power_norm(canon, int(math.ceil(2.0 * period / h)), h))

@@ -42,8 +42,8 @@ from .core import (
     decompose,
     rotate_conjugate,
 )
-from .errors import InapplicableError, InvalidInputError, NumericFailureError
-from .spectra import Classification, DistinctRealOrtho, ortho_structure, transient_summary
+from .errors import InvalidInputError, NumericFailureError
+from .spectra import DistinctRealOrtho, _require_reactive_attractor, ortho_structure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,7 +132,11 @@ def _check_finite(x: float, y: float, t_end: float) -> None:
 
 
 def default_step(rt: RTParams, base: float = 1e-4) -> float:
-    """Step scaled to the system's fastest rate so accuracy is uniform."""
+    """Step scaled to the system's fastest rate so accuracy is uniform.
+
+    The speed is floored at 1, so the absolute step never exceeds base:
+    a system slower than unit rate steps at base itself.
+    """
     speed = max(abs(rt.rho1), abs(rt.rho2), abs(rt.tau1), abs(rt.tau2))
     return base / max(speed, 1.0)
 
@@ -391,12 +395,7 @@ class NonautConfig:
         if not math.isfinite(self.k):
             raise InvalidInputError(f"rotation rate k must be finite, got {self.k!r}")
         object.__setattr__(self, "k", float(self.k))
-        summary = transient_summary(decompose(self.base))
-        if summary.classification is not Classification.REACTIVE_ATTRACTOR:
-            raise InapplicableError(
-                "nonautonomous rotation analysis needs a reactive attractor; "
-                f"base system classifies as {summary.classification.value}"
-            )
+        _require_reactive_attractor(decompose(self.base), "nonautonomous rotation analysis")
 
 
 def nonaut_matrix(cfg: NonautConfig, t: float) -> Mat2:
@@ -420,12 +419,7 @@ def repulsion_window(a: Mat2) -> tuple[float, float]:
     T attains somewhere on the reactive arc, trapping solutions there.
     Endpoints are marginal (zero co-rotating eigenvalue), not repelling.
     """
-    rt = decompose(a)
-    summary = transient_summary(rt)
-    if summary.classification is not Classification.REACTIVE_ATTRACTOR:
-        raise InapplicableError(
-            f"repulsion window needs a reactive attractor, got {summary.classification.value}"
-        )
+    rt = _require_reactive_attractor(decompose(a), "the repulsion window")
     ortho = ortho_structure(rt)
     assert isinstance(ortho, DistinctRealOrtho)
     return (-ortho.mu1, -ortho.mu2)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import AngleModPi, RTParams
+from .errors import InapplicableError
 
 __all__ = [
     "DistinctRealEigen",
@@ -310,6 +311,16 @@ def transient_summary(rt: RTParams) -> TransientSummary:
         is_reactive=rho1 > 0,
         is_attenuating=rho2 < 0,
     )
+
+
+def _require_reactive_attractor(rt: RTParams, purpose: str) -> RTParams:
+    """Return rt if it is a reactive attractor, else raise naming purpose."""
+    cls = transient_summary(rt).classification
+    if cls is not Classification.REACTIVE_ATTRACTOR:
+        raise InapplicableError(
+            f"{purpose} needs a reactive attractor; system classifies as {cls.value}"
+        )
+    return rt
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from reactlin import (
     rho_max_numeric,
     rotate_conjugate,
 )
-from reactlin.amplification import _max_power_norm
+from reactlin.amplification import _exit_root, _max_power_norm
 from reactlin.dynamics import default_step
 from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, random_reactive_attractor
 
@@ -200,6 +200,13 @@ class TestBounds:
             assert ortho_bound <= eigen_bound + 1e-12
 
 
+ARC_EXIT_CASES = [
+    A_TRIANGULAR,
+    Mat2(-1.0, 8.0, 0.0, -3.0),  # reflected
+    attractor_with_eigenvalues(-1e-4, -3.0, 2.0),  # eigenline borders the arc
+]
+
+
 class TestNumericOracle:
     def test_triangular_agrees_with_closed(self):
         res = rho_max_numeric(A_TRIANGULAR, step=1e-4)
@@ -243,11 +250,7 @@ class TestNumericOracle:
         )
         assert on_boundary <= 1e-9
 
-    @pytest.mark.parametrize("a", [
-        A_TRIANGULAR,
-        Mat2(-1.0, 8.0, 0.0, -3.0),  # reflected
-        attractor_with_eigenvalues(-1e-4, -3.0, 2.0),  # eigenline borders the arc
-    ])
+    @pytest.mark.parametrize("a", ARC_EXIT_CASES)
     def test_exit_state_matches_matrix_exponential(self, a):
         # the exact solution from the unit entry vector, taken at t_max,
         # must have gained rho_max and sit on the other boundary orthovector
@@ -259,6 +262,45 @@ class TestNumericOracle:
         on_phi1 = res.theta_entry.distance(ortho.phi1) <= 1e-12
         exit_line = ortho.phi2 if on_phi1 else ortho.phi1
         assert exit_line.distance(math.atan2(y, x)) <= 1e-9
+
+    @pytest.mark.parametrize("a", ARC_EXIT_CASES)
+    def test_exit_time_matches_closed(self, a):
+        # the exit time is solved for to rounding on the last partial
+        # step, so even where T is small at the exit (the third case)
+        # t_max keeps the accuracy of the RK4 steps themselves
+        res = rho_max_numeric(a, step=1e-4)
+        assert res.t_max == pytest.approx(rho_max_closed(a).t_max, rel=1e-10)
+
+    def test_slow_spiral_crosses_the_arc_once(self):
+        # every rate is about 0.015, so the default step is 1e-4 in
+        # absolute time; half a turn takes about 4400 time units, more
+        # steps than MAX_STEPS allows, so one arc crossing must suffice
+        a = Mat2(-0.014292925519603154, -0.030028108502834015,
+                 2.1210621770522894e-05, -0.013568538239368924)
+        assert isinstance(eigen_structure(decompose(a)), ComplexPairEigen)
+        res = rho_max_numeric(a)
+        assert res.rho_max == pytest.approx(rho_max_closed(a).rho_max, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [A_SPIRAL, A_TRIANGULAR])
+    def test_unstable_step_raises(self, a):
+        with pytest.raises(NumericFailureError, match="is unstable for this system"):
+            rho_max_numeric(a, step=1.0)
+
+    def test_exit_root_when_the_angle_peaks_inside_a_coarse_step(self):
+        # a step near RK4's stability limit (3 / max_speed): g, the sine
+        # of the angle past the exit times the norm, rises through 0 and
+        # falls again within the step, so from the secant point, where g
+        # already falls, Newton heads away from the root; the sign bracket
+        # brings it back
+        a = Mat2(0.5075269066045065, -5.902916321088528,
+                 2.0622915301279257, -6.764880481174033)
+        h, cos_t, sin_t = 0.37061151805974973, -0.9939392973670907, -0.1099303104217118
+        x0 = np.array([-0.82756839962859, 0.5613648937510916])
+        r, s = _exit_root(a, *x0, h, cos_t, sin_t)
+        assert 0.5 * h < s < 0.7 * h
+        x, y = rk4_step_matrix(a, s) @ x0
+        assert math.hypot(x, y) == pytest.approx(r, rel=1e-14)
+        assert abs(cos_t * y - sin_t * x) <= 1e-12 * r
 
     def test_repeated_eigenvalue_attractor(self):
         a = from_deltas(math.pi / 8, 0.0, 1.0)

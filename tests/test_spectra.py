@@ -9,7 +9,9 @@ from reactlin import (
     ComplexPairEigen,
     DistinctRealEigen,
     DistinctRealOrtho,
+    InapplicableError,
     Mat2,
+    NonautConfig,
     NoRealOrtho,
     QUARTER_TURN,
     RepeatedDefectiveEigen,
@@ -23,6 +25,8 @@ from reactlin import (
     eval_tangential,
     ortho_structure,
     reconstruct,
+    repulsion_window,
+    rho_max_closed,
     rotate_conjugate,
     transient_summary,
 )
@@ -317,6 +321,21 @@ class TestTransientSummary:
         assert full.reactive_set == (0.0, math.pi)
         empty = transient_summary(decompose(Mat2(-3.0, 0.1, 0.0, -3.0)))
         assert empty.reactive_set is None
+
+
+class TestReactiveAttractorRequirement:
+    @pytest.mark.parametrize("call, purpose", [
+        (rho_max_closed, "maximal amplification"),
+        (lambda a: NonautConfig(a, 1.0), "nonautonomous rotation analysis"),
+        (repulsion_window, "the repulsion window"),
+    ])
+    def test_callers_share_one_message(self, call, purpose):
+        with pytest.raises(
+            InapplicableError,
+            match=f"^{purpose} needs a reactive attractor; system classifies as saddle$",
+        ):
+            call(A_SADDLE)
+        call(A_TRIANGULAR)  # a reactive attractor passes
 
 
 class TestAngularPhaseLine:
