@@ -10,10 +10,10 @@ complex (spiral) spectra alike.  The paper's three closed forms (from
 eigen/orthovalues; midlines and separations; the two arc radii) serve
 as a runtime concordance check on real spectra, two strict upper bounds
 come from each arc radius alone, and an independent oracle, fixed-step
-RK4 on X' = AX itself (a block of step-matrix powers per array
-expression), reproduces all three outputs in one crossing of the arc.
-On a spiral the oracle's value is guarded by the exact 2-norms of
-those powers, the most that any start gains.
+RK4 on X' = AX itself, reproduces all three outputs in one crossing of
+the arc, whose exit it finds by binary descent over doubled powers of
+the step matrix.  On a spiral the oracle's value is guarded by the
+exact 2-norms of those powers, the most that any start gains.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -269,8 +269,8 @@ def _max_power_norm(a: Mat2, n_steps: int, h: float) -> float:
     |M|_2 = (|z1| + |z2|) / 2 with z1 = (m11 + m22) + i (m21 - m12) and
     z2 = (m11 - m22) + i (m12 + m21), hypot(m_R, m_T) + p of M, which
     avoids the cancellation in the eigenvalues of M^T M.  The powers come
-    a block at a time: with D_j = P^j - I from _powers and Q = P^b the
-    power at the block's start, P^(b+j) = Q + D_j Q.
+    a block at a time, P^(b+j) = Q + D_j Q with D_j = P^j - I from _powers
+    and Q = P^b, so that one block of powers is held at a time.
     """
     import numpy as np
     d = _powers(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, h))
@@ -290,16 +290,21 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     """Measure maximal amplification by time-stepping X' = AX with RK4.
 
     Starts a unit perturbation on the entrance orthovector and rides it
-    once across the reactive arc with the RK4 step matrix P, a block of
-    steps at a time: x_{n+j} = x_n + (P^j - I) x_n for the block's j.  The
-    exit lies on the first step after which sin(theta - exit angle) is no
-    longer negative, and _exit_root solves for it.  MAX_STEPS bounds the
-    steps taken, and a step that Jury's test finds unstable (P has an
-    eigenvalue on or outside the unit circle) raises.  On a spiral
-    (complex pair) the largest 2-norm of the step-matrix powers over two
-    periods (_max_power_norm), the most any start gains, guards the
-    result from below.  A reflected matrix (m_T < 0) is stepped in its
-    canonical, reflected form.
+    once across the reactive arc with the RK4 step matrix P.  The exit
+    lies on the first step after which g = |x| sin(theta - exit angle) is
+    not negative, and _exit_root solves for it.  g changes sign at most
+    once in a window of 2^(K+1) steps, which turns a state by at most
+    1 rad: T > 0 on the arc, a real spectrum's RK4 iterates never turn
+    back (P's eigenvalues R4(h lambda) are positive, as the quartic Taylor
+    polynomial of e^z has no real root), and a spiral's P turns all states
+    alike.  So a binary descent, keeping x + (P^(2^k) - I) x for k = K..0
+    while g < 0, finds the window's last state before the exit; one more
+    step passes the exit or ends the window.  MAX_STEPS bounds the steps,
+    and a step that Jury's test finds unstable (an eigenvalue of P on or
+    outside the unit circle) raises.  On a spiral the largest 2-norm of
+    P's powers over two periods (_max_power_norm, at the step
+    min(1e-2 / fastest rate, period / 512)) guards the result from below.
+    A reflected matrix (m_T < 0) is stepped in its canonical form.
 
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate (see default_step).
@@ -321,40 +326,39 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     tr_e, det_e = e11 + e22, e11 * e22 - e12 * e21
     if not (det_e > 0.0 and tr_e + det_e < 0.0 and 4.0 + 2.0 * tr_e + det_e > 0.0):
         raise NumericFailureError(f"RK4 step {step} is unstable for this system")
-    import numpy as np
-    d = _powers(e11, e12, e21, e22)
+    # D_k = P^(2^k) - I by doubling, (I + D)^2 - I = 2 D + D^2; as |T| <= m_T + p,
+    # K is the largest with 2^(K+1) h (m_T + p) <= 1 and 2^(K+1) <= MAX_STEPS
+    ds, d = [], (e11, e12, e21, e22)
+    while (2 << len(ds)) <= MAX_STEPS and (2 << len(ds)) * step * rt.tau1 <= 1.0:
+        ds.append((1 << len(ds), d))
+        d11, d12, d21, d22 = d
+        d = (2.0 * d11 + (d11 * d11 + d12 * d21), 2.0 * d12 + (d11 * d12 + d12 * d22),
+             2.0 * d21 + (d21 * d11 + d22 * d21), 2.0 * d22 + (d21 * d12 + d22 * d22))
 
     entry = ortho.phi1.value
-    xy = np.array((math.cos(entry), math.sin(entry)))
+    x, y = math.cos(entry), math.sin(entry)
     target = entry + 2.0 * ortho.delta_r
     cos_t, sin_t = math.cos(target), math.sin(target)
-    # Angles rise across the arc (T > 0), so sin(theta - target) turns
-    # from negative to non-negative at the exit, a sign that needs no norm.
-    # R > 0 on the arc, so the norm only rises, from 1 to rho_max; n counts
-    # the steps taken, and a block holds x_{n+1} .. x_{n+m}.
-    n = 0
+    n = 0  # the steps taken to (x, y), the last state known before the exit
     while n < MAX_STEPS:
-        m = min(d.shape[1], MAX_STEPS - n)
-        xs = d[:, :m] @ xy + xy[:, None]
-        past = cos_t * xs[1] - sin_t * xs[0] >= 0.0
-        i = int(past.argmax())
-        if past[i]:
+        for m, (d11, d12, d21, d22) in reversed(ds):
+            u, v = x + (d11 * x + d12 * y), y + (d21 * x + d22 * y)
+            if cos_t * v - sin_t * u < 0.0:
+                x, y, n = u, v, n + m
+        u, v = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+        if not cos_t * v - sin_t * u < 0.0:
             break
-        xy = xs[:, -1]
-        n += m
-    else:
-        raise NumericFailureError(
-            f"amplification oracle exceeded {MAX_STEPS} steps without "
-            "crossing the reactive arc"
-        )
-    if i:
-        xy = xs[:, i - 1]
-    rho, dt = _exit_root(canon, *xy.tolist(), step, cos_t, sin_t)
-    t_max = (n + i) * step + dt
+        x, y, n = u, v, n + 1
+    if n >= MAX_STEPS:
+        raise NumericFailureError(f"amplification oracle exceeded {MAX_STEPS} steps "
+                                  "without crossing the reactive arc")
+    rho, dt = _exit_root(canon, x, y, step, cos_t, sin_t)
+    t_max = n * step + dt
 
     if isinstance(eigen_structure(rt), ComplexPairEigen):
         period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
-        h = min(default_step(rt, 1e-2), period / 512.0)
+        # -rho2 and tau1 are the fastest rates of a canonical reactive spiral
+        h = min(1e-2 / max(-rt.rho2, rt.tau1), period / 512.0)
         rho = max(rho, _max_power_norm(canon, int(math.ceil(2.0 * period / h)), h))
 
     if not rho >= 1.0 - 1e-9:

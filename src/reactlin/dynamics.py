@@ -3,14 +3,14 @@
 Fixed-step classical RK4 drives all integrators (smooth 2x2 linear
 fields need nothing adaptive).  On a linear field one RK4 step is the
 fixed matrix P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the
-Cartesian integrators precompute its first powers and advance a block
-of states per array expression, x_{b+j} = x_b + (P^j - I) x_b, up to
-256 at a time; a closed-form matrix exponential serves as their
-independent oracle.  The polar route integrates dr/dt = r R(theta),
-dtheta/dt = T(theta): only the angle flow is sequential, so a scalar
-loop steps theta alone, and since each RK4 step multiplies r by a factor
-that depends only on the step's start angle and length, the radius is
-one cumulative product over all steps.
+Cartesian integrators precompute its first 256 powers, step only every
+256th state in sequence and fill the states between with one batched
+product, x_{b+j} = x_b + (P^j - I) x_b; a closed-form matrix exponential
+serves as their independent oracle.  The polar route integrates
+dr/dt = r R(theta), dtheta/dt = T(theta): only the angle flow is
+sequential, so a scalar loop steps theta alone, and since each RK4 step
+multiplies r by a factor that depends only on the step's start angle and
+length, the radius is one cumulative product over all steps.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -238,27 +238,38 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
 
     increment(h) returns the entries of E for a step of length h; it is
     called once for the full steps and once for a partial final step.
-    The full steps go a block at a time through the powers of I + E.
+    The full steps go in blocks of m through D_j = P^j - I, P = I + E
+    (_powers): only the block starts x_{bm} step in sequence, in floats,
+    and one batched product fills every block, x_{bm} + D_j x_{bm}, in the
+    output array, padded to whole blocks and trimmed by a view.
     """
     _check_grid(step, t_end)
     x, y = float(x0[0]), float(x0[1])
     if x == 0.0 and y == 0.0:
         raise InvalidInputError("initial state must be nonzero")
     n_full, rem = _grid(step, t_end)
+    from array import array
     import numpy as np
-    xs = np.empty((2, n_full + (2 if rem else 1)))
-    xs[:, 0] = x, y
+    d = _powers(*increment(step)) if n_full else np.zeros((2, 1, 2))  # x0 alone
+    m = d.shape[1]
+    (d11, d12), (d21, d22) = d[:, -1].tolist()
+    starts = array("d", (x, y))
+    for _ in range(n_full // m):
+        x, y = x + (d11 * x + d12 * y), y + (d21 * x + d22 * y)
+        starts.extend((x, y))
+    starts = np.frombuffer(starts).reshape(-1, 2)
+    xs = np.empty((2, len(starts) * m + 1))
+    blocks = xs[:, :-1].reshape(2, len(starts), m)
     # an overflow ends as inf or nan in the last state, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_full:
-            d = _powers(*increment(step))
-            for i in range(0, n_full, d.shape[1]):
-                m = min(d.shape[1], n_full - i)
-                np.add(d[:, :m] @ xs[:, i], xs[:, i, None], out=xs[:, i + 1:i + 1 + m])
+        blocks[:, :, 0] = starts.T
+        np.matmul(starts, d[:, :-1].transpose(0, 2, 1), out=blocks[:, :, 1:])
+        blocks[:, :, 1:] += starts.T[:, :, None]
         if rem:
             e11, e12, e21, e22 = increment(rem)
             x, y = xs[:, n_full].tolist()
-            xs[:, -1] = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+            xs[:, n_full + 1] = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+    xs = xs[:, :n_full + (2 if rem else 1)]
     _check_finite(*xs[:, -1].tolist(), t_end)
     return _sample_times(n_full, step, rem, t_end), xs[0], xs[1]
 

@@ -34,7 +34,7 @@ from reactlin import (
 )
 from reactlin.amplification import _exit_root, _max_power_norm
 from reactlin.dynamics import default_step
-from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, random_reactive_attractor
+from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, max_speed, random_reactive_attractor
 
 SQRT17 = math.sqrt(17.0)
 
@@ -320,6 +320,47 @@ class TestNumericOracle:
         a = rho_max_numeric(A_SPIRAL, step=1e-3)
         b = rho_max_numeric(A_SPIRAL, step=1e-3)
         assert a.rho_max == b.rho_max and a.t_max == b.t_max
+
+    def test_exit_step_matches_one_at_a_time_stepping(self, rng):
+        # the binary descent must stop on the step that stepping one at a
+        # time first finds past the exit, J, so t_max lies in step J
+        cases = [
+            *(random_reactive_attractor(rng) for _ in range(10)),
+            *(random_reactive_spiral(rng) for _ in range(10)),
+            attractor_with_eigenvalues(-1e-4, -3.0, 2.0),
+            from_deltas(math.pi / 8, 0.0, 1.0),
+        ]
+        windows = []
+        for a in cases:
+            if decompose(a).m_t < 0.0:  # step the canonical, counterclockwise form
+                a = reflect_conjugate(a)
+            rt, h = decompose(a), 1e-2 / max_speed(a)
+            ortho = ortho_structure(rt)
+            target = ortho.phi1.value + 2.0 * ortho.delta_r
+            (p11, p12), (p21, p22) = rk4_step_matrix(a, h).tolist()
+            x, y, j = math.cos(ortho.phi1.value), math.sin(ortho.phi1.value), 0
+            while math.cos(target) * y - math.sin(target) * x < 0.0:
+                x, y, j = p11 * x + p12 * y, p21 * x + p22 * y, j + 1
+            t_max = rho_max_numeric(a, step=h).t_max
+            assert (j - 1) * h <= t_max <= j * h
+            # a descent window is the largest power of two w with
+            # w h (m_T + p) <= 1
+            w = 1
+            while 2 * w * h * (rt.m_t + rt.p) <= 1.0:
+                w *= 2
+            windows.append(j / w)
+        assert max(windows[10:20]) > 2.0  # a spiral crossing several windows
+
+    def test_max_steps_refusal(self):
+        # crossing the arc at this step takes about 48.6M steps
+        with pytest.raises(NumericFailureError, match="exceeded"):
+            rho_max_numeric(A_TRIANGULAR, step=1e-8)
+
+    def test_many_steps_keep_their_accuracy(self):
+        # about 9.7M steps, within MAX_STEPS
+        res, closed = rho_max_numeric(A_TRIANGULAR, step=5e-8), rho_max_closed(A_TRIANGULAR)
+        assert res.rho_max == pytest.approx(closed.rho_max, rel=1e-13)
+        assert res.t_max == pytest.approx(closed.t_max, rel=1e-13)
 
 
 def random_reactive_spiral(rng) -> Mat2:
