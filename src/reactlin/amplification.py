@@ -12,8 +12,8 @@ as a runtime concordance check on real spectra, two strict upper bounds
 come from each arc radius alone, and an independent oracle, fixed-step
 RK4 on X' = AX itself, reproduces all three outputs in one crossing of
 the arc, whose exit it finds by binary descent over doubled powers of
-the step matrix.  On a spiral the oracle's value is guarded by the
-exact 2-norms of those powers, the most that any start gains.
+the step matrix.  The crossing is the same for every spectrum, so the
+oracle's accuracy is that of the step it is given.
 
 Orthovalue signs are canonicalized first: conjugating by diag(1, -1)
 preserves every solution norm while flipping the sense of rotation, so
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
-from .dynamics import _powers, _rk4_increment, default_step
+from .dynamics import _rk4_increment, default_step
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
-    ComplexPairEigen,
     DistinctRealEigen,
     DistinctRealOrtho,
     _require_reactive_attractor,
@@ -261,31 +260,6 @@ def _exit_root(
     return r, s
 
 
-def _max_power_norm(a: Mat2, n_steps: int, h: float) -> float:
-    """Largest 2-norm of P^j for j = 0..n_steps, P the RK4 step matrix of A.
-
-    |P^j|_2 is the most any unit start gains in j steps, so this bounds
-    the gain of every starting angle at once.  A 2x2 matrix M has
-    |M|_2 = (|z1| + |z2|) / 2 with z1 = (m11 + m22) + i (m21 - m12) and
-    z2 = (m11 - m22) + i (m12 + m21), hypot(m_R, m_T) + p of M, which
-    avoids the cancellation in the eigenvalues of M^T M.  The powers come
-    a block at a time, P^(b+j) = Q + D_j Q with D_j = P^j - I from _powers
-    and Q = P^b, so that one block of powers is held at a time.
-    """
-    import numpy as np
-    d = _powers(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, h))
-    q = np.eye(2)
-    best = 1.0  # |P^0|_2
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n_steps, d.shape[1]):
-            p = d[:, :min(d.shape[1], n_steps - i)] @ q + q[:, None, :]
-            (p11, p12), (p21, p22) = p[0].T, p[1].T
-            norms = np.hypot(p11 + p22, p21 - p12) + np.hypot(p11 - p22, p12 + p21)
-            best = max(best, 0.5 * float(norms.max()))
-            q = p[:, -1]
-    return best
-
-
 def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     """Measure maximal amplification by time-stepping X' = AX with RK4.
 
@@ -301,10 +275,10 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     while g < 0, finds the window's last state before the exit; one more
     step passes the exit or ends the window.  MAX_STEPS bounds the steps,
     and a step that Jury's test finds unstable (an eigenvalue of P on or
-    outside the unit circle) raises.  On a spiral the largest 2-norm of
-    P's powers over two periods (_max_power_norm, at the step
-    min(1e-2 / fastest rate, period / 512)) guards the result from below.
-    A reflected matrix (m_T < 0) is stepped in its canonical form.
+    outside the unit circle) raises.  Real, repeated and complex spectra
+    take this one path, and nothing else revises its result: the paper
+    shows that no other start gains more.  A reflected matrix (m_T < 0)
+    is stepped in its canonical form.
 
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate (see default_step).
@@ -354,12 +328,6 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
                                   "without crossing the reactive arc")
     rho, dt = _exit_root(canon, x, y, step, cos_t, sin_t)
     t_max = n * step + dt
-
-    if isinstance(eigen_structure(rt), ComplexPairEigen):
-        period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
-        # -rho2 and tau1 are the fastest rates of a canonical reactive spiral
-        h = min(1e-2 / max(-rt.rho2, rt.tau1), period / 512.0)
-        rho = max(rho, _max_power_norm(canon, int(math.ceil(2.0 * period / h)), h))
 
     if not rho >= 1.0 - 1e-9:
         raise NumericFailureError(f"numeric amplification {rho} fell below 1")

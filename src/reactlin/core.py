@@ -101,10 +101,11 @@ class AngleModPi:
 class Mat2:
     """Real 2x2 coefficient matrix of the system X' = AX.
 
-    Entries are plain rates (units 1/time) and must be finite.  Entries
-    of any magnitude are accepted; double precision keeps the closed
-    forms used throughout this package accurate for |entries| up to
-    about 1e6, which is the supported (documented, unenforced) range.
+    Entries are plain rates (units 1/time) and must be finite reals of
+    any numbers.Real type, numpy scalars included.  Entries of any
+    magnitude are accepted; double precision keeps the closed forms used
+    throughout this package accurate for |entries| up to about 1e6,
+    which is the supported (documented, unenforced) range.
     """
 
     a11: float
@@ -115,7 +116,11 @@ class Mat2:
     def __post_init__(self) -> None:
         for name in ("a11", "a12", "a21", "a22"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not isinstance(v, (int, float)):
+                import numbers  # numpy integers, float32 etc.; kept off the cold path
+                if not isinstance(v, numbers.Real):
+                    raise InvalidInputError(f"matrix entry {name}={v!r} is not a real number")
+            if not math.isfinite(v):
                 raise InvalidInputError(f"matrix entry {name}={v!r} is not finite")
             object.__setattr__(self, name, float(v))
 

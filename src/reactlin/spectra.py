@@ -259,6 +259,11 @@ def transient_summary(rt: RTParams) -> TransientSummary:
     ortho = ortho_structure(rt)
     eig_tol = CASE_RTOL * (1.0 + abs(rt.m_r) + rt.p)
 
+    if isinstance(eig, DistinctRealEigen):
+        lam1, lam2 = eig.lambda1, eig.lambda2
+    else:  # a complex or repeated pair has real part m_R
+        lam1 = lam2 = rt.m_r
+
     if isinstance(ortho, AllOrtho):
         # R identically zero: concentric circles, or the zero matrix.
         cls = (
@@ -266,42 +271,26 @@ def transient_summary(rt: RTParams) -> TransientSummary:
             if abs(rt.m_t) > eig_tol
             else Classification.DEGENERATE
         )
-    elif isinstance(eig, ComplexPairEigen):
-        if abs(eig.re) <= eig_tol:
-            cls = Classification.CENTER
-        elif eig.re < 0:
-            cls = (
-                Classification.REACTIVE_ATTRACTOR
-                if rho1 > 0
-                else Classification.NONREACTIVE_ATTRACTOR
-            )
-        else:
-            cls = (
-                Classification.ATTENUATING_REPELLER
-                if rho2 < 0
-                else Classification.NONATTENUATING_REPELLER
-            )
+    elif min(abs(lam1), abs(lam2)) <= eig_tol:
+        cls = (
+            Classification.CENTER
+            if isinstance(eig, ComplexPairEigen)
+            else Classification.DEGENERATE
+        )
+    elif lam1 < 0 and lam2 < 0:
+        cls = (
+            Classification.REACTIVE_ATTRACTOR
+            if rho1 > 0
+            else Classification.NONREACTIVE_ATTRACTOR
+        )
+    elif lam1 > 0 and lam2 > 0:
+        cls = (
+            Classification.ATTENUATING_REPELLER
+            if rho2 < 0
+            else Classification.NONATTENUATING_REPELLER
+        )
     else:
-        if isinstance(eig, DistinctRealEigen):
-            lam1, lam2 = eig.lambda1, eig.lambda2
-        else:
-            lam1 = lam2 = eig.lam
-        if min(abs(lam1), abs(lam2)) <= eig_tol:
-            cls = Classification.DEGENERATE
-        elif lam1 < 0 and lam2 < 0:
-            cls = (
-                Classification.REACTIVE_ATTRACTOR
-                if rho1 > 0
-                else Classification.NONREACTIVE_ATTRACTOR
-            )
-        elif lam1 > 0 and lam2 > 0:
-            cls = (
-                Classification.ATTENUATING_REPELLER
-                if rho2 < 0
-                else Classification.NONATTENUATING_REPELLER
-            )
-        else:
-            cls = Classification.SADDLE
+        cls = Classification.SADDLE
 
     return TransientSummary(
         rho1=rho1,

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,8 +34,7 @@ from reactlin import (
     rho_max_numeric,
     rotate_conjugate,
 )
-from reactlin.amplification import _exit_root, _max_power_norm
-from reactlin.dynamics import default_step
+from reactlin.amplification import _exit_root
 from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, max_speed, random_reactive_attractor
 
 SQRT17 = math.sqrt(17.0)
@@ -224,7 +225,7 @@ class TestNumericOracle:
         assert v[0] == pytest.approx(-0.367, abs=5e-3)
         assert v[1] == pytest.approx(0.930, abs=5e-3)
 
-    def test_spiral_multi_revolution(self):
+    def test_spiral_agrees_with_quadrature(self):
         res = rho_max_numeric(A_SPIRAL, step=1e-3)
         assert res.rho_max == pytest.approx(RHO_MAX_SPIRAL, rel=1e-6)
         assert res.t_max == pytest.approx(T_MAX_SPIRAL, rel=1e-5)
@@ -316,10 +317,25 @@ class TestNumericOracle:
             assert numeric < rho_max_bound_ortho(a)
             assert numeric < rho_max_bound_eigen(a)
 
-    def test_seeded_sweep_is_deterministic(self):
+    def test_repeated_calls_are_bit_identical(self):
         a = rho_max_numeric(A_SPIRAL, step=1e-3)
         b = rho_max_numeric(A_SPIRAL, step=1e-3)
         assert a.rho_max == b.rho_max and a.t_max == b.t_max
+
+    def test_leaves_numpy_unimported(self):
+        # one arc crossing in plain floats for every spectrum
+        script = (
+            "import sys\n"
+            "from reactlin import Mat2, rho_max_numeric\n"
+            "for entries in [(0.7, -4.0, 4.0, -4.7), (-1.0, -8.0, 0.0, -3.0)]:\n"
+            "    rho_max_numeric(Mat2(*entries))\n"
+            "    print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_exit_step_matches_one_at_a_time_stepping(self, rng):
         # the binary descent must stop on the step that stepping one at a
@@ -386,30 +402,31 @@ def rk4_step_matrix(a: Mat2, h: float) -> np.ndarray:
     return np.array(cols).T
 
 
-class TestSpiralGuard:
-    """The oracle's spiral guard, the largest |P^j|_2 over two periods."""
+class TestExactPropagator:
+    """The paper's definition, free of RK4: sup_t |e^{At}|_2 is rho_max."""
 
-    def test_equals_largest_power_norm(self, rng):
-        spirals = [A_SPIRAL, *(random_reactive_spiral(rng) for _ in range(20))]
-        angles = np.radians(np.arange(360))
-        starts = np.array([np.cos(angles), np.sin(angles)])
-        for a in spirals:
-            rt = decompose(a)
-            assert isinstance(eigen_structure(rt), ComplexPairEigen)
-            period = 2.0 * math.pi / math.sqrt(rt.tau1 * rt.tau2)
-            h = min(default_step(rt, 1e-2), period / 512.0)
-            n = math.ceil(2.0 * period / h)
-            step = rk4_step_matrix(a, h)
-            powers = [np.eye(2)]
-            for _ in range(n):
-                powers.append(step @ powers[-1])
-            powers = np.array(powers)
-            exact = float(np.linalg.norm(powers, 2, axis=(1, 2)).max())
-            guard = _max_power_norm(a, n, h)
-            assert guard == pytest.approx(exact, rel=1e-12, abs=0.0)
-            # it bounds every one of 360 sampled unit starts, up to rounding
-            sampled = max(
-                float(np.linalg.norm(powers[i:i + 512] @ starts, axis=1).max())
-                for i in range(0, n + 1, 512)
-            )
-            assert guard >= sampled * (1.0 - 1e-15)
+    def test_propagator_norm_peaks_at_rho_max(self, rng):
+        cases = [
+            A_SPIRAL,
+            A_TRIANGULAR,
+            attractor_with_eigenvalues(-1e-4, -3.0, 2.0),
+            from_deltas(math.pi / 8, 0.0, 1.0),
+            *(random_reactive_spiral(rng) for _ in range(20)),
+            *(random_reactive_attractor(rng) for _ in range(20)),
+        ]
+        for a in cases:
+            closed = rho_max_closed(a)
+            c = closed.rho_max
+            eig = eigen_structure(decompose(a))
+            if isinstance(eig, ComplexPairEigen):
+                t_end = 2.0 * (2.0 * math.pi / eig.im)  # two periods
+            else:
+                t_end = 4.0 * closed.t_max
+            props = np.array([
+                matrix_exponential(a, t).as_array() for t in np.linspace(0.0, t_end, 2049)
+            ])
+            # no start gains more than rho_max at any time ...
+            assert np.linalg.norm(props, 2, axis=(1, 2)).max() <= c * (1.0 + 1e-12)
+            # ... and some start gains it at t_max
+            peak = np.linalg.norm(matrix_exponential(a, closed.t_max).as_array(), 2)
+            assert abs(peak - c) <= 1e-10

@@ -46,6 +46,18 @@ class TestMat2:
         with pytest.raises(InvalidInputError):
             Mat2(float("nan"), 0.0, 0.0, 1.0)
 
+    def test_accepts_numpy_reals(self):
+        a = Mat2(np.int64(1), np.float32(-0.5), np.float64(0.0), np.int32(-3))
+        assert a == Mat2(1.0, -0.5, 0.0, -3.0)
+        assert all(type(v) is float for v in (a.a11, a.a12, a.a21, a.a22))
+
+    def test_rejects_non_numbers(self):
+        for bad in ("1", None, 1j, np.complex128(1.0)):
+            with pytest.raises(InvalidInputError, match="is not a real number"):
+                Mat2(1.0, bad, 0.0, 1.0)
+        with pytest.raises(InvalidInputError, match="is not finite"):
+            Mat2(1.0, 0.0, np.float32("inf"), 1.0)
+
     def test_array_round_trip(self):
         a = Mat2.from_array(A_TRIANGULAR.as_array())
         assert a == A_TRIANGULAR

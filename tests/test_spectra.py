@@ -268,6 +268,10 @@ class TestTransientSummary:
             (Mat2(1.0, 0.0, 0.0, 0.0), Classification.DEGENERATE),
             (Mat2(0.0, 0.0, 0.0, 0.0), Classification.DEGENERATE),
             (A_SPIRAL, Classification.REACTIVE_ATTRACTOR),
+            # the remaining complex-pair classes
+            (Mat2(-1.0, -2.0, 2.0, -1.0), Classification.NONREACTIVE_ATTRACTOR),
+            (Mat2(-0.7, 4.0, -4.0, 4.7), Classification.ATTENUATING_REPELLER),
+            (Mat2(1.0, -2.0, 2.0, 1.0), Classification.NONATTENUATING_REPELLER),
         ]
         for a, want in cases:
             assert transient_summary(decompose(a)).classification is want, a
