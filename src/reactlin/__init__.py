@@ -15,9 +15,7 @@ from .core import (
     angle_distance_mod_pi,
     decompose,
     eval_radial,
-    eval_radial_slope,
     eval_tangential,
-    eval_tangential_slope,
     reconstruct,
     reflect_conjugate,
     rotate_conjugate,

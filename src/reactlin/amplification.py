@@ -176,8 +176,14 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     the formula is defined on every reactive attractor.  For real
     distinct eigenvalues the paper's three forms are evaluated as well
     and must agree to 1e-9 relative (an internal concordance check).
+    It is evaluated in p's binade (rates times the exact power of two
+    that brings p into [1/2, 1), t_max scaled back), so no product of
+    rates overflows, and A and 2^k A give the same bits.
     """
     rt, reflected = _reactive_rt(a)
+    e = math.frexp(rt.p)[1]
+    rt = RTParams(math.ldexp(rt.m_r, -e), math.ldexp(rt.m_t, -e),
+                  math.ldexp(rt.p, -e), rt.theta_r)
     ortho = _reactive_arc(rt)
     m_r, m_t, p_t = rt.m_r, rt.m_t, ortho.p_t
     # z = (p_R p_T / (m_R m_T))^2 with p_R^2 = p^2 - m_T^2 taken signed,
@@ -191,7 +197,7 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     f = _arc_factor(z)
     ratio = p_t / m_t
     rho = math.exp(math.atanh(ratio) - ratio * f)
-    t_max = -p_t / (m_r * m_t) * f
+    t_max = math.ldexp(-p_t / (m_r * m_t) * f, -e)
 
     eig = eigen_structure(rt)
     if isinstance(eig, DistinctRealEigen):

@@ -43,17 +43,31 @@ __all__ = [
     "reconstruct",
     "eval_radial",
     "eval_tangential",
-    "eval_radial_slope",
-    "eval_tangential_slope",
     "rotate_conjugate",
     "reflect_conjugate",
     "rotation_matrix",
     "symmetric_part_reactivity",
 ]
 
-# Relative scale below which the shared amplitude p is treated as zero
-# (theta_R is undefined there).
+# Fraction of the rate scale (see _scale) at or below which the shared
+# amplitude p is treated as zero (theta_R is undefined there).
 P_ZERO_RTOL = 1e-12
+
+
+def _scale(m_r: float, m_t: float, p: float) -> float:
+    """The rate scale |m_R| + |m_T| + p that every near-tie is measured against."""
+    s = abs(m_r) + abs(m_t) + p
+    if s == math.inf:  # every tolerance would be infinite, every case a tie
+        raise InvalidInputError(f"rate scale overflows: m_R={m_r!r}, m_T={m_t!r}, p={p!r}")
+    return s
+
+
+def _separation(a: float, b: float) -> float:
+    """sqrt(a^2 - b^2) for |a| > |b|, formed as (a - b)(a + b) in a's binade:
+    no rate is squared, and the result scales exactly with a and b."""
+    e = math.frexp(a)[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
+    return math.ldexp(math.sqrt((a - b) * (a + b)), e)
 
 
 def _norm_mod_pi(x: float) -> float:
@@ -102,10 +116,10 @@ class Mat2:
     """Real 2x2 coefficient matrix of the system X' = AX.
 
     Entries are plain rates (units 1/time) and must be finite reals of
-    any numbers.Real type, numpy scalars included.  Entries of any
-    magnitude are accepted; double precision keeps the closed forms used
-    throughout this package accurate for |entries| up to about 1e6,
-    which is the supported (documented, unenforced) range.
+    any numbers.Real type, numpy scalars included, that convert to a
+    finite float.  Every tolerance is a fraction of the rate scale
+    |m_R| + |m_T| + p, so A and cA (c > 0) classify alike; decompose
+    refuses a matrix whose rate scale overflows (entries above ~5e307).
     """
 
     a11: float
@@ -120,7 +134,11 @@ class Mat2:
                 import numbers  # numpy integers, float32 etc.; kept off the cold path
                 if not isinstance(v, numbers.Real):
                     raise InvalidInputError(f"matrix entry {name}={v!r} is not a real number")
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an integer or fraction beyond the float range
+                raise InvalidInputError(f"matrix entry {name} is too large for a float") from None
+            if not finite:
                 raise InvalidInputError(f"matrix entry {name}={v!r} is not finite")
             object.__setattr__(self, name, float(v))
 
@@ -228,8 +246,8 @@ class RTParams:
 def decompose(a: Mat2) -> RTParams:
     """Split A into its radial/tangential parameters.
 
-    The amplitude is snapped to exactly zero when it falls below
-    1e-12 * (1 + |m_R| + |m_T|); at that scale the phase theta_R is
+    The amplitude is snapped to exactly zero when it is at most
+    1e-12 * (|m_R| + |m_T| + p); at that scale the phase theta_R is
     numerically meaningless and is reported as absent.
     """
     m_r = 0.5 * (a.a11 + a.a22)
@@ -237,7 +255,7 @@ def decompose(a: Mat2) -> RTParams:
     cos_part = a.a11 - a.a22        # 2p cos(2 theta_R)
     sin_part = a.a12 + a.a21        # 2p sin(2 theta_R)
     p = 0.5 * math.hypot(cos_part, sin_part)
-    if p <= P_ZERO_RTOL * (1.0 + abs(m_r) + abs(m_t)):
+    if p <= P_ZERO_RTOL * _scale(m_r, m_t, p):
         return RTParams(m_r, m_t, 0.0, None)
     theta_r = AngleModPi(0.5 * math.atan2(sin_part, cos_part))
     return RTParams(m_r, m_t, p, theta_r)
@@ -270,20 +288,6 @@ def eval_tangential(rt: RTParams, theta: float) -> float:
     if rt.theta_r is None:
         return rt.m_t
     return rt.m_t - rt.p * math.sin(2.0 * (theta - rt.theta_r.value))
-
-
-def eval_radial_slope(rt: RTParams, theta: float) -> float:
-    """dR/dtheta."""
-    if rt.theta_r is None:
-        return 0.0
-    return -2.0 * rt.p * math.sin(2.0 * (theta - rt.theta_r.value))
-
-
-def eval_tangential_slope(rt: RTParams, theta: float) -> float:
-    """dT/dtheta; equals -2 (R(theta) - m_R)."""
-    if rt.theta_r is None:
-        return 0.0
-    return -2.0 * rt.p * math.cos(2.0 * (theta - rt.theta_r.value))
 
 
 def rotation_matrix(gamma: float) -> Mat2:

@@ -134,11 +134,12 @@ def _check_finite(x: float, y: float, t_end: float) -> None:
 def default_step(rt: RTParams, base: float = 1e-4) -> float:
     """Step scaled to the system's fastest rate so accuracy is uniform.
 
-    The speed is floored at 1, so the absolute step never exceeds base:
-    a system slower than unit rate steps at base itself.
+    The step is base / speed, where speed is the fastest of |rho1|,
+    |rho2|, |tau1| and |tau2|, so A and cA take the same number of steps.
+    The zero matrix, which has no rate, steps at base.
     """
     speed = max(abs(rt.rho1), abs(rt.rho2), abs(rt.tau1), abs(rt.tau2))
-    return base / max(speed, 1.0)
+    return base / speed if speed > 0.0 else base
 
 
 def _stage_push(rhs, h):

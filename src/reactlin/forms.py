@@ -21,16 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (
-    Mat2,
-    _norm_mod_pi,
-    decompose,
-    eval_radial,
-    eval_radial_slope,
-    eval_tangential,
-    eval_tangential_slope,
-    rotate_conjugate,
-)
+from .core import Mat2, _norm_mod_pi, _scale, decompose, rotate_conjugate
 from .errors import InapplicableError
 from .spectra import DistinctRealEigen, DistinctRealOrtho, eigen_structure, ortho_structure
 
@@ -121,22 +112,20 @@ def to_t_zeroed(a: Mat2) -> StandardFormResult:
 def verify_form(a: Mat2, kind: StandardFormKind) -> bool:
     """Check the defining condition of a form directly on a matrix.
 
-    Value conditions are tested to a relative 1e-9; the slope-sign
-    clauses of the zeroed forms accept an exactly repeated zero (slope
-    zero within tolerance).
+    On the positive x-axis the curves and their slopes are entries:
+    R = a11, T = a21, dR/dtheta = a12 + a21 and dT/dtheta = a22 - a11.
+    Value conditions are tested to 1e-9 of the rate scale
+    |m_R| + |m_T| + p; the slope-sign clauses of the zeroed forms accept
+    an exactly repeated zero (slope zero within tolerance).
     """
     rt = decompose(a)
-    scale = 1.0 + rt.p + abs(rt.m_r) + abs(rt.m_t)
-    tol = VERIFY_RTOL * scale
+    tol = VERIFY_RTOL * _scale(rt.m_r, rt.m_t, rt.p)
     if kind is StandardFormKind.R_CENTERED:
-        return abs(eval_radial(rt, 0.0) - rt.rho1) <= tol
+        return abs(a.a11 - rt.rho1) <= tol
     if kind is StandardFormKind.T_CENTERED:
-        return abs(eval_tangential(rt, 0.0) - rt.tau1) <= tol
+        return abs(a.a21 - rt.tau1) <= tol
     if kind is StandardFormKind.R_ZEROED:
-        return abs(eval_radial(rt, 0.0)) <= tol and eval_radial_slope(rt, 0.0) >= -tol
+        return abs(a.a11) <= tol and a.a12 + a.a21 >= -tol
     if kind is StandardFormKind.T_ZEROED:
-        return (
-            abs(eval_tangential(rt, 0.0)) <= tol
-            and eval_tangential_slope(rt, 0.0) >= -tol
-        )
+        return abs(a.a21) <= tol and a.a22 - a.a11 >= -tol
     raise InapplicableError(f"unknown form kind {kind!r}")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, RTParams
+from .core import AngleModPi, RTParams, _scale, _separation
 from .errors import InapplicableError
 
 __all__ = [
@@ -44,9 +44,10 @@ __all__ = [
     "CASE_RTOL",
 ]
 
-# Relative tolerance for all degeneracy decisions (p vs |m_T|, p vs
-# |m_R|, eigenvalue vs 0).  Ties are resolved toward the repeated /
-# degenerate variant so classification is deterministic.
+# Tolerance for all degeneracy decisions (p vs |m_T|, p vs |m_R|,
+# eigenvalue vs 0) as a fraction of the rate scale |m_R| + |m_T| + p, so
+# A and cA (c > 0) classify alike.  Ties are resolved toward the
+# repeated / degenerate variant so classification is deterministic.
 CASE_RTOL = 1e-10
 
 
@@ -106,7 +107,7 @@ EigenStructure = (
 def eigen_structure(rt: RTParams) -> EigenStructure:
     """Classify the spectrum from the decomposition parameters."""
     p, m_t = rt.p, rt.m_t
-    tol = CASE_RTOL * (1.0 + p + abs(m_t))
+    tol = CASE_RTOL * _scale(rt.m_r, m_t, p)
     if abs(p - abs(m_t)) <= tol:
         if p <= tol:
             return RepeatedFullEigen(lam=rt.m_r)
@@ -115,9 +116,9 @@ def eigen_structure(rt: RTParams) -> EigenStructure:
         shift = math.pi / 4 if m_t > 0 else -math.pi / 4
         return RepeatedDefectiveEigen(lam=rt.m_r, theta0=rt.theta_r.shifted(shift))
     if p < abs(m_t):
-        return ComplexPairEigen(re=rt.m_r, im=math.sqrt(m_t * m_t - p * p))
+        return ComplexPairEigen(re=rt.m_r, im=_separation(m_t, p))
     # p > |m_T|: two zeros of T, symmetric around theta_T.
-    p_r = math.sqrt((p - m_t) * (p + m_t))
+    p_r = _separation(p, m_t)
     delta_t = 0.5 * math.atan2(p_r, -m_t)
     theta_t = rt.theta_t
     assert theta_t is not None
@@ -177,7 +178,7 @@ OrthoStructure = DistinctRealOrtho | NoRealOrtho | AllOrtho | RepeatedOrtho
 def ortho_structure(rt: RTParams) -> OrthoStructure:
     """Classify the orthovectors; mirrors eigen_structure with m_R."""
     p, m_r = rt.p, rt.m_r
-    tol = CASE_RTOL * (1.0 + p + abs(m_r))
+    tol = CASE_RTOL * _scale(m_r, rt.m_t, p)
     if abs(p - abs(m_r)) <= tol:
         if p <= tol:
             return AllOrtho(mu=rt.m_t)
@@ -187,7 +188,7 @@ def ortho_structure(rt: RTParams) -> OrthoStructure:
         return RepeatedOrtho(mu=rt.m_t, phi0=rt.theta_r.shifted(shift))
     if p < abs(m_r):
         return NoRealOrtho()
-    p_t = math.sqrt((p - m_r) * (p + m_r))
+    p_t = _separation(p, m_r)
     delta_r = 0.5 * math.atan2(p_t, -m_r)
     assert rt.theta_r is not None
     return DistinctRealOrtho(
@@ -257,7 +258,7 @@ def transient_summary(rt: RTParams) -> TransientSummary:
     rho1, rho2 = rt.rho1, rt.rho2
     eig = eigen_structure(rt)
     ortho = ortho_structure(rt)
-    eig_tol = CASE_RTOL * (1.0 + abs(rt.m_r) + rt.p)
+    eig_tol = CASE_RTOL * _scale(rt.m_r, rt.m_t, rt.p)
 
     if isinstance(eig, DistinctRealEigen):
         lam1, lam2 = eig.lambda1, eig.lambda2

@@ -87,6 +87,21 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", "--", "-1", "-8", "0", "-3")
         assert '"p":4.1231056256176606' in out
 
+    @pytest.mark.parametrize("scale", [1e154, -1e154, 1e300])
+    def test_extreme_scales_keep_the_classification(self, capsys, schema, scale):
+        entries = [repr(scale * x) for x in (-1.0, -8.0, 0.0, -3.0)]
+        code, out, _ = run_cli(capsys, "analyze", "--", *entries)
+        assert code == 0
+        report = json.loads(out)
+        validate(schema, report)
+        expected = "reactive_attractor" if scale > 0 else "attenuating_repeller"
+        assert report["transient"]["classification"] == expected
+        assert report["eigen"]["kind"] == "distinct_real"
+        if scale > 0:
+            _, out, _ = run_cli(capsys, "analyze", "--", "-1", "-8", "0", "-3")
+            assert report["amplification"]["rho_max"] == pytest.approx(
+                json.loads(out)["amplification"]["rho_max"], rel=1e-13)
+
     def test_non_finite_entry_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nan", "0", "0", "1")
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ class TestMat2:
         with pytest.raises(InvalidInputError, match="is not finite"):
             Mat2(1.0, 0.0, np.float32("inf"), 1.0)
 
+    def test_rejects_reals_beyond_the_float_range(self):
+        for big in (10**400, -(10**400), Fraction(10**400, 3)):
+            with pytest.raises(InvalidInputError, match="entry a21 is too large") as exc:
+                Mat2(1.0, 0.0, big, 1.0)
+            assert len(str(exc.value)) < 80
+
     def test_array_round_trip(self):
         a = Mat2.from_array(A_TRIANGULAR.as_array())
         assert a == A_TRIANGULAR
@@ -86,6 +93,12 @@ class TestDecompose:
         assert rt.m_t == pytest.approx(4.0, abs=1e-15)
         assert rt.p == pytest.approx(SQRT17, rel=1e-15)
         assert rt.theta_r.value == pytest.approx(2.478683821755777, abs=1e-12)
+
+    def test_refuses_a_rate_scale_beyond_the_float_range(self):
+        # |m_R| + |m_T| + p is 1.74e308 at 2e307 and overflows at 2.2e307
+        assert decompose(A_SPIRAL.scaled(2e307)).p == pytest.approx(5.4e307)
+        with pytest.raises(InvalidInputError, match="rate scale overflows"):
+            decompose(A_SPIRAL.scaled(2.2e307))
 
     def test_identity_has_no_phase(self):
         rt = decompose(Mat2(1.0, 0.0, 0.0, 1.0))

@@ -535,7 +535,8 @@ class TestHelpers:
         fast = decompose(Mat2(-100.0, 0, 0, -100.0))
         slow = decompose(Mat2(-0.01, 0, 0, -0.01))
         assert default_step(fast) == pytest.approx(1e-6)
-        assert default_step(slow) == pytest.approx(1e-4)
+        assert default_step(slow) == pytest.approx(1e-2)
+        assert default_step(decompose(Mat2(0.0, 0.0, 0.0, 0.0))) == 1e-4
 
     def test_trajectory_theta_unwraps_winding(self):
         traj = integrate_linear(QUARTER_TURN, (1.0, 0.0), 1e-3, 4 * math.pi)

@@ -23,6 +23,7 @@ from reactlin import (
     eigen_structure,
     eval_radial,
     eval_tangential,
+    from_deltas,
     ortho_structure,
     reconstruct,
     repulsion_window,
@@ -69,14 +70,16 @@ class TestEigenStructure:
         assert av[0] == pytest.approx(eig.lam * v[0], abs=1e-12)
         assert av[1] == pytest.approx(eig.lam * v[1], abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CASE_RTOL * (1 + p + |m_T|) has an absolute floor, so a matrix "
-        "scaled by 1e-10 falls inside the repeated-eigenvalue band",
-    )
     def test_classification_scale_invariant(self):
-        eig = eigen_structure(decompose(A_TRIANGULAR.scaled(1e-10)))
-        assert isinstance(eig, DistinctRealEigen)
+        for a in (A_TRIANGULAR, A_SPIRAL, from_deltas(math.pi / 8, 0.0, 1.0)):
+            rt = decompose(a)
+            rho = rho_max_closed(a).rho_max
+            for scale in (1e-10, 1e-20, 1e-200):
+                small = decompose(a.scaled(scale))
+                assert type(eigen_structure(small)) is type(eigen_structure(rt))
+                assert type(ortho_structure(small)) is type(ortho_structure(rt))
+                assert transient_summary(small).classification is Classification.REACTIVE_ATTRACTOR
+                assert rho_max_closed(a.scaled(scale)).rho_max == pytest.approx(rho, rel=1e-12)
 
     def test_eigen_angles_carry_their_values(self):
         eig = eigen_structure(decompose(A_TRIANGULAR))
