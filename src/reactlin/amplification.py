@@ -178,7 +178,8 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     and must agree to 1e-9 relative (an internal concordance check).
     It is evaluated in p's binade (rates times the exact power of two
     that brings p into [1/2, 1), t_max scaled back), so no product of
-    rates overflows, and A and 2^k A give the same bits.
+    rates overflows, and A and 2^k A give the same bits.  A system so
+    slow that t_max exceeds the float range raises NumericFailureError.
     """
     rt, reflected = _reactive_rt(a)
     e = math.frexp(rt.p)[1]
@@ -197,7 +198,10 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     f = _arc_factor(z)
     ratio = p_t / m_t
     rho = math.exp(math.atanh(ratio) - ratio * f)
-    t_max = math.ldexp(-p_t / (m_r * m_t) * f, -e)
+    try:
+        t_max = math.ldexp(-p_t / (m_r * m_t) * f, -e)
+    except OverflowError:
+        raise NumericFailureError(f"t_max leaves the float range (p = {rt.p!r} * 2^{e})") from None
 
     eig = eigen_structure(rt)
     if isinstance(eig, DistinctRealEigen):

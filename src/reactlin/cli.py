@@ -17,12 +17,7 @@ import sys
 
 from . import __version__
 from .amplification import rho_max_bound_eigen, rho_max_bound_ortho, rho_max_closed
-from .core import (
-    Mat2,
-    decompose,
-    eval_radial,
-    eval_tangential,
-)
+from .core import Mat2, decompose, eval_radial, eval_tangential
 from .dynamics import (
     NonautConfig,
     default_step,
@@ -46,11 +41,7 @@ from .spectra import (
     ortho_structure,
     transient_summary,
 )
-from .synthesis import (
-    attractor_with_eigenvalues,
-    attractor_with_eigenvectors,
-    from_deltas,
-)
+from .synthesis import attractor_with_eigenvalues, attractor_with_eigenvectors, from_deltas
 
 SCHEMA_VERSION = "2"
 
@@ -237,7 +228,10 @@ def cmd_portrait(args) -> int:
 
 def cmd_trajectory(args) -> int:
     a = Mat2(*args.matrix)
-    step = args.step if args.step is not None else default_step(decompose(a), 1e-3)
+    step = args.step
+    if step is None:  # a spin k is a rate too: the RK4 stages sample cos(kt)
+        spin = 1e-3 / abs(args.k) if args.k else math.inf
+        step = min(default_step(decompose(a), 1e-3), spin)
     if args.k is not None:
         traj = integrate_nonaut(NonautConfig(a, args.k), tuple(args.x0), step, args.t_end)
     else:

@@ -1,16 +1,9 @@
 import math
-import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from reactlin import Mat2, decompose
-
-# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failing
-# property reproduces from the log alone.
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def angle_close(a: float, b: float, tol: float = 1e-10) -> bool:

@@ -102,6 +102,14 @@ class TestAnalyze:
             assert report["amplification"]["rho_max"] == pytest.approx(
                 json.loads(out)["amplification"]["rho_max"], rel=1e-13)
 
+    @pytest.mark.parametrize("scale", [1e-309, 5e-324])
+    def test_subnormal_scales_never_crash(self, capsys, scale):
+        # t_max, a shape factor over p, leaves the float range: a numeric
+        # failure (exit 4), not a traceback (exit 1)
+        entries = [repr(scale * x) for x in (-1.0, -8.0, 0.0, -3.0)]
+        code, _, err = run_cli(capsys, "analyze", "--", *entries)
+        assert code == 4 and "float range" in err
+
     def test_non_finite_entry_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nan", "0", "0", "1")
         assert code == 2
@@ -171,6 +179,29 @@ class TestTrajectory:
             "--", "0.7", "-4", "4", "-4.7",
         )
         assert out == out2
+
+    def test_default_step_resolves_a_fast_spin_on_a_slow_base(self, capsys):
+        # the base's rates are ~1e-2, so only the spin k = 10 bounds the step
+        from reactlin import Mat2
+        from reactlin.dynamics import NonautConfig, corotating_matrix, matrix_exponential
+
+        k = 10.0
+        a = Mat2(-1e-3, -8e-3, 0.0, -3e-3)
+        code, out, _ = run_cli(
+            capsys, "trajectory", "--k", repr(k), "--t-end", "1.0",
+            "--", *(repr(x) for x in (a.a11, a.a12, a.a21, a.a22)),
+        )
+        assert code == 0
+        co = corotating_matrix(NonautConfig(a, k))
+        worst = 0.0
+        for line in out.strip().split("\n")[1:]:
+            t, x1, x2 = (float(v) for v in line.split(",")[:3])
+            # X(t) = R(-kt) e^{(A + kJ) t} x0 with x0 = (1, 0)
+            e = matrix_exponential(co, t)
+            c, s = math.cos(k * t), math.sin(k * t)
+            want = (c * e.a11 + s * e.a21, c * e.a21 - s * e.a11)
+            worst = max(worst, math.hypot(x1 - want[0], x2 - want[1]) / math.hypot(*want))
+        assert worst < 1e-9
 
     def test_nonaut_needs_reactive_attractor(self, capsys):
         code, _, err = run_cli(
