@@ -6,10 +6,12 @@ arc's boundary orthovector and riding it to the far side.  Integrating
 d(ln r)/d(theta) = R/T and dt/d(theta) = 1/T across the arc gives the
 gain rho_max, the time t_max it takes and the entry angle in one
 elementary real formula that covers distinct-real, repeated and
-complex (spiral) spectra alike.  The paper's three closed forms (from
-eigen/orthovalues; midlines and separations; the two arc radii) serve
-as a runtime concordance check on real spectra, two strict upper bounds
-come from each arc radius alone, and an independent oracle, fixed-step
+complex (spiral) spectra alike, accurate up to det A = 0.  The
+definition, rho_max = sup_t |e^{At}|_2, certifies each result with one
+matrix exponential at t_max.  The paper's three closed forms (from
+eigen/orthovalues; midlines and separations; the two arc radii) stay
+available on their own ingredients, two strict upper bounds come from
+each arc radius alone, and an independent oracle, fixed-step
 RK4 on X' = AX itself, reproduces all three outputs in one crossing of
 the arc, whose exit it finds by binary descent over doubled powers of
 the step matrix.  The crossing is the same for every spectrum, so the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
-from .dynamics import _rk4_increment, default_step
+from .dynamics import _rk4_increment, default_step, matrix_exponential
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
     DistinctRealEigen,
@@ -49,7 +51,6 @@ __all__ = [
     "rho_max_from_separations",
 ]
 
-CONCORDANCE_RTOL = 1e-9
 EXIT_ANGLE_TOL = 1e-12
 MAX_STEPS = 20_000_000
 
@@ -103,22 +104,6 @@ def rho_max_from_separations(delta_r: float, delta_t: float) -> float:
     return math.sqrt(base**expo * (c2t - s2r) / (c2t + s2r))
 
 
-def _arc_factor(z: float) -> float:
-    """F(z) = integral_0^1 ds / (1 - z s^2), defined and smooth for z < 1.
-
-    Its closed forms are atanh(sqrt z)/sqrt z for z > 0 and
-    atan(sqrt -z)/sqrt -z for z < 0, with the shared series
-    1 + z/3 + z^2/5 near the repeated-eigenvalue boundary z = 0.
-    """
-    if z > 1e-8:
-        w = math.sqrt(z)
-        return math.atanh(w) / w
-    if z < -1e-8:
-        w = math.sqrt(-z)
-        return math.atan(w) / w
-    return 1.0 + z / 3.0 + z * z / 5.0
-
-
 # ---------------------------------------------------------------------------
 # applicability plumbing
 
@@ -165,58 +150,65 @@ def rho_max_bound_eigen(a: Mat2) -> float:
 def rho_max_closed(a: Mat2) -> AmplificationResult:
     """Closed-form maximal amplification of any reactive attractor.
 
-    With m_T >= 0, p_T = sqrt(p^2 - m_R^2) and
-    z = (p^2 - m_T^2) p_T^2 / (m_R m_T)^2,
+    With m_T >= 0, p_T = sqrt(p^2 - m_R^2), q = p_T/m_T,
+    g = -p_T/(m_R m_T) and z = (p^2 - m_T^2) g^2,
 
-        ln rho_max = atanh(p_T/m_T) - (p_T/m_T) F(z)
-        t_max      = -p_T / (m_R m_T) F(z)
-        theta_entry = phi1 (negated back if the matrix was reflected)
+        ln rho_max  = atanh(q) - q F(z),   t_max = g F(z),
+        theta_entry = phi1 (negated back if the matrix was reflected),
 
-    where F is _arc_factor.  z < 1 and p_T < m_T both say det A > 0, so
-    the formula is defined on every reactive attractor.  For real
-    distinct eigenvalues the paper's three forms are evaluated as well
-    and must agree to 1e-9 relative (an internal concordance check).
-    It is evaluated in p's binade (rates times the exact power of two
-    that brings p into [1/2, 1), t_max scaled back), so no product of
-    rates overflows, and A and 2^k A give the same bits.  A system so
-    slow that t_max exceeds the float range raises NumericFailureError.
+    where F(z) = integral_0^1 ds / (1 - z s^2) is atanh(w)/w (w = sqrt z,
+    real eigenvalues), atan(v)/v (v = sqrt -z, a spiral) or
+    1 + z/3 + z^2/5 (|z| <= 1e-8, near the repeated eigenvalue).  q < 1
+    and z < 1 both say det A > 0.  As det A -> 0, q and w tend to 1, so
+    atanh x is taken as 1/2 log1p(2x / (1 - x)), with
+    1 - q = det / (m_T (m_T + p_T)), 1 - w = p^2 det / (c (c + p_R p_T)),
+    c = -m_R m_T, and det exact from the entries: nothing cancels.  It is
+    evaluated in p's binade (entries and rates times the power of two
+    that brings p into [1/2, 1)), so no product of rates overflows and
+    A and 2^k A give the same bits.  The definition certifies the result:
+    |e^{A t_max}|_2 must equal rho_max = sup_t |e^{At}|_2 to 1e-9
+    relative.  That failing, or t_max leaving the float range, raises
+    NumericFailureError.
     """
     rt, reflected = _reactive_rt(a)
     e = math.frexp(rt.p)[1]
-    rt = RTParams(math.ldexp(rt.m_r, -e), math.ldexp(rt.m_t, -e),
-                  math.ldexp(rt.p, -e), rt.theta_r)
-    ortho = _reactive_arc(rt)
-    m_r, m_t, p_t = rt.m_r, rt.m_t, ortho.p_t
-    # z = (p_R p_T / (m_R m_T))^2 with p_R^2 = p^2 - m_T^2 taken signed,
-    # so z > 0 for real eigenvalues and z < 0 for a spiral.  On a reactive
-    # attractor m_R < 0 < m_T keeps z finite, and both orthovalues are
-    # positive, so T > 0 across the arc and the arc integral is smooth on
-    # the connected set det A > 0.  F is smooth for every z < 1, and for
-    # z < 0 its defining integral equals the principal atan: the spiral
-    # value is the continuation of the real one, not a branch choice.
-    z = (rt.p - m_t) * (rt.p + m_t) * (p_t / (m_r * m_t)) ** 2
-    f = _arc_factor(z)
-    ratio = p_t / m_t
-    rho = math.exp(math.atanh(ratio) - ratio * f)
+    m_r, m_t, p = math.ldexp(rt.m_r, -e), math.ldexp(rt.m_t, -e), math.ldexp(rt.p, -e)
+    a = Mat2(*(math.ldexp(x, -e) for x in (a.a11, a.a12, a.a21, a.a22)))
+    ortho = _reactive_arc(RTParams(m_r, m_t, p, rt.theta_r))
+    p_t = ortho.p_t
+    # det A of the float entries, correctly rounded by one integer division
+    # (a reflection keeps det, so the unreflected entries serve).
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
+        x.as_integer_ratio() for x in (a.a11, a.a12, a.a21, a.a22))
+    det = (n1 * n4 * d2 * d3 - n2 * n3 * d1 * d4) / (d1 * d2 * d3 * d4)
+    # s = p_R^2 taken signed: z > 0 for real eigenvalues, z < 0 for a spiral.
+    # T > 0 across the arc (m_R < 0 < m_T), so F is smooth on the connected
+    # set det A > 0, and for z < 0 it is the principal atan: the spiral
+    # value continues the real one.
+    s = (p - m_t) * (p + m_t)
+    g = -p_t / (m_r * m_t)
+    z = s * (g * g)
+    if z > 1e-8:
+        pp = math.sqrt(s) * p_t  # p_R p_T, and w = pp / c
+        c = -m_r * m_t
+        f = 0.5 * math.log1p(2.0 * pp * (c + pp) / (p * p * det)) * c / pp
+    elif z < -1e-8:
+        v = math.sqrt(-z)
+        f = math.atan(v) / v
+    else:
+        f = 1.0 + z / 3.0 + z * z / 5.0
+    rho = math.exp(0.5 * math.log1p(2.0 * p_t * (m_t + p_t) / det) - p_t / m_t * f)
     try:
-        t_max = math.ldexp(-p_t / (m_r * m_t) * f, -e)
+        t_max = math.ldexp(g * f, -e)
     except OverflowError:
-        raise NumericFailureError(f"t_max leaves the float range (p = {rt.p!r} * 2^{e})") from None
+        raise NumericFailureError(f"t_max leaves the float range (p = {p!r} * 2^{e})") from None
 
-    eig = eigen_structure(rt)
-    if isinstance(eig, DistinctRealEigen):
-        routes = (
-            ("eigen/ortho", rho_max_from_eigen_ortho(
-                eig.lambda1, eig.lambda2, ortho.mu1, ortho.mu2)),
-            ("midline", rho_max_from_midlines(m_r, m_t, eig.p_r, p_t)),
-            ("separation", rho_max_from_separations(ortho.delta_r, eig.delta_t)),
-        )
-        for name, other in routes:
-            if abs(other - rho) > CONCORDANCE_RTOL * rho:
-                raise NumericFailureError(
-                    f"closed-form routes disagree: arc integral {rho} vs "
-                    f"{name} {other}"
-                )
+    x = matrix_exponential(a, g * f)
+    norm = 0.5 * (math.hypot(x.a11 + x.a22, x.a21 - x.a12)
+                  + math.hypot(x.a11 - x.a22, x.a12 + x.a21))
+    if not abs(norm - rho) <= 1e-9 * rho:
+        raise NumericFailureError(
+            f"|e^(A t_max)|_2 = {norm} does not certify rho_max = {rho}")
     if not rho >= 1.0 - 1e-9:
         raise NumericFailureError(f"amplification {rho} fell below 1")
     entry = ortho.phi1.value

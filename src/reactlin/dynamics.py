@@ -136,10 +136,15 @@ def default_step(rt: RTParams, base: float = 1e-4) -> float:
 
     The step is base / speed, where speed is the fastest of |rho1|,
     |rho2|, |tau1| and |tau2|, so A and cA take the same number of steps.
-    The zero matrix, which has no rate, steps at base.
+    The zero matrix, which has no rate, steps at base.  A system so slow
+    that base / speed overflows raises NumericFailureError.
     """
     speed = max(abs(rt.rho1), abs(rt.rho2), abs(rt.tau1), abs(rt.tau2))
-    return base / speed if speed > 0.0 else base
+    step = base / speed if speed > 0.0 else base
+    if step == math.inf:
+        raise NumericFailureError(
+            f"default step {base!r} / speed {speed!r} overflows; pass an explicit step")
+    return step
 
 
 def _stage_push(rhs, h):

@@ -1,14 +1,16 @@
+import json
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reactlin import (
     AmplificationMethod,
     AngleModPi,
+    Classification,
     ComplexPairEigen,
     DistinctRealEigen,
     DistinctRealOrtho,
@@ -33,8 +35,11 @@ from reactlin import (
     rho_max_from_separations,
     rho_max_numeric,
     rotate_conjugate,
+    transient_summary,
 )
+from reactlin import amplification
 from reactlin.amplification import _exit_root
+from reactlin.cli import main
 from conftest import A_MILD, A_SPIRAL, A_TRIANGULAR, max_speed, random_reactive_attractor
 
 SQRT17 = math.sqrt(17.0)
@@ -81,16 +86,45 @@ class TestClosedForm:
         with pytest.raises(InapplicableError):
             rho_max_closed(Mat2(-2.0, 1.0, 2.0, 1.0))  # saddle
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NumericFailureError,
-        reason="near det A = 0 the paper's forms and the arc formula each lose "
-        "about eps p^2 / det of relative accuracy, so the concordance check fails",
-    )
-    def test_near_singular_attractor(self):
-        # m_T/p_T - 1 = 1e-8, well inside the band where the routes disagree
+    def test_near_singular_attractor(self, capsys):
+        # m_T/p_T - 1 = 1e-8: det A is about 1.5e-8 p^2
         a = reconstruct(RTParams(-0.5, math.sqrt(0.75) * (1 + 1e-8), 1.0, AngleModPi(0.3)))
-        assert rho_max_closed(a).rho_max >= 1.0
+        res = rho_max_closed(a)
+        assert 1.0 <= res.rho_max < rho_max_bound_ortho(a)
+        code = main(["analyze", "--", *(repr(x) for x in (a.a11, a.a12, a.a21, a.a22))])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["amplification"]["rho_max"] == res.rho_max
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        log_gap=st.floats(min_value=-12.0, max_value=-5.0),
+        frac=st.floats(min_value=0.05, max_value=0.95),
+        log_p=st.floats(min_value=-2.0, max_value=2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        theta_r=st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_near_singular_matches_quadrature(self, log_gap, frac, log_p, sign, theta_r):
+        # m_T/p_T - 1 = 10^log_gap, so det A is about 2 p_T^2 10^log_gap
+        mp = pytest.importorskip("mpmath")
+        p = 10.0**log_p
+        p_t = p * math.sqrt((1.0 - frac) * (1.0 + frac))
+        a = reconstruct(RTParams(-frac * p, sign * p_t * (1.0 + 10.0**log_gap), p,
+                                 AngleModPi(theta_r)))
+        # a tie of lambda1 with 0 within the rate-scale tolerance is degenerate
+        assume(transient_summary(decompose(a)).classification
+               is Classification.REACTIVE_ATTRACTOR)
+        res = rho_max_closed(a)
+        ln_rho, t_max = arc_quadrature(mp, a)
+        assert abs(math.log(res.rho_max) - ln_rho) <= 1e-12
+        assert abs(res.t_max - t_max) <= 1e-12 * t_max
+
+    @pytest.mark.parametrize("a", [A_SPIRAL, A_TRIANGULAR, from_deltas(math.pi / 8, 0.0, 1.0)])
+    def test_certificate_rejects_a_wrong_t_max(self, a, monkeypatch):
+        # |e^{At}|_2 peaks at t_max, so a norm taken 0.1% later misses rho_max
+        monkeypatch.setattr(amplification, "matrix_exponential",
+                            lambda b, t: matrix_exponential(b, 1.001 * t))
+        with pytest.raises(NumericFailureError, match="does not certify"):
+            rho_max_closed(a)
 
     def test_spiral_value(self):
         assert isinstance(eigen_structure(decompose(A_SPIRAL)), ComplexPairEigen)
@@ -163,8 +197,9 @@ class TestFormulaConcordance:
             v1 = rho_max_from_eigen_ortho(eig.lambda1, eig.lambda2, ortho.mu1, ortho.mu2)
             v2 = rho_max_from_midlines(rt.m_r, rt.m_t, eig.p_r, ortho.p_t)
             v3 = rho_max_from_separations(ortho.delta_r, eig.delta_t)
-            assert v2 == pytest.approx(v1, rel=1e-9)
-            assert v3 == pytest.approx(v1, rel=1e-9)
+            closed = rho_max_closed(a).rho_max
+            for v in (v1, v2, v3):
+                assert v == pytest.approx(closed, rel=1e-9)
 
 
 class TestBounds:
@@ -189,6 +224,18 @@ class TestBounds:
         tight = rho_max_bound_eigen(from_deltas(0.2, 0.01, 1.0))
         loose = rho_max_bound_eigen(from_deltas(0.2, 0.1, 1.0))
         assert tight > loose > 1.0
+
+    def test_gap_to_ortho_bound_closes_as_det_vanishes(self):
+        # ln rho_max -> ln(-p/m_R) from below, with a gap of order det ln(1/det)
+        gaps = []
+        for k in range(2, 10):  # at 1e-10 lambda1 ties with 0: degenerate
+            a = reconstruct(RTParams(-0.5, math.sqrt(0.75) * (1 + 10.0**-k), 1.0,
+                                     AngleModPi(0.3)))
+            det = a.det()
+            gap = rho_max_bound_ortho(a) - rho_max_closed(a).rho_max
+            assert 0.0 < gap <= 2.0 * det * math.log(1.0 / det)
+            gaps.append(gap)
+        assert gaps == sorted(gaps, reverse=True)
 
     def test_bounds_strictly_dominate(self, rng):
         for _ in range(50):
@@ -281,6 +328,11 @@ class TestNumericOracle:
         assert isinstance(eigen_structure(decompose(a)), ComplexPairEigen)
         res = rho_max_numeric(a)
         assert res.rho_max == pytest.approx(rho_max_closed(a).rho_max, rel=1e-9)
+
+    def test_default_step_overflow_raises(self):
+        # the speed is about 4e-323, so 1e-4 / speed leaves the float range
+        with pytest.raises(NumericFailureError, match="default step 0.0001 / speed"):
+            rho_max_numeric(A_TRIANGULAR.scaled(5e-324))
 
     @pytest.mark.parametrize("a", [A_SPIRAL, A_TRIANGULAR])
     def test_unstable_step_raises(self, a):
@@ -400,6 +452,28 @@ def rk4_step_matrix(a: Mat2, h: float) -> np.ndarray:
             y + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
         ])
     return np.array(cols).T
+
+
+def arc_quadrature(mp, a: Mat2) -> tuple[float, float]:
+    """(ln rho_max, t_max) of a reactive attractor with real eigenvalues, to
+    30 digits from the float entries: the integrals of R/T and 1/T over the
+    reactive arc.  T falls monotonically across the arc, from mu1 to mu2,
+    and sin 2(theta - theta_R) = (m_T - T)/p, so
+    dtheta = -dT / (2 p cos 2(theta - theta_R)), and in s = ln T both integrands are smooth up to det A = 0."""
+    with mp.workdps(30):
+        a11, a12, a21, a22 = (mp.mpf(x) for x in (a.a11, a.a12, a.a21, a.a22))
+        m_r, m_t = (a11 + a22) / 2, abs(a21 - a12) / 2
+        p = mp.hypot(a11 - a22, a12 + a21) / 2
+        p_t = mp.sqrt(p * p - m_r * m_r)
+
+        def two_p_cos(s):
+            t = mp.exp(s)
+            return 2 * mp.sqrt((p - m_t + t) * (p + m_t - t))
+
+        span = [mp.log(m_t - p_t), mp.log(m_t + p_t)]
+        ln_rho = mp.quad(lambda s: (m_r + two_p_cos(s) / 2) / two_p_cos(s), span)
+        t_max = mp.quad(lambda s: 1 / two_p_cos(s), span)
+        return float(ln_rho), float(t_max)
 
 
 class TestExactPropagator:

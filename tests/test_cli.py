@@ -180,6 +180,14 @@ class TestTrajectory:
         )
         assert out == out2
 
+    def test_default_step_overflow_exits_4(self, capsys):
+        # the speed is about 4e-323, so 1e-3 / speed leaves the float range
+        code, out, err = run_cli(
+            capsys, "trajectory", "--t-end", "1", "--", "-5e-324", "-4e-323", "0", "-1.5e-323",
+        )
+        assert code == 4 and out == ""
+        assert "default step 0.001 / speed 4e-323" in err
+
     def test_default_step_resolves_a_fast_spin_on_a_slow_base(self, capsys):
         # the base's rates are ~1e-2, so only the spin k = 10 bounds the step
         from reactlin import Mat2

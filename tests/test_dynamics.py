@@ -538,6 +538,11 @@ class TestHelpers:
         assert default_step(slow) == pytest.approx(1e-2)
         assert default_step(decompose(Mat2(0.0, 0.0, 0.0, 0.0))) == 1e-4
 
+    def test_default_step_overflow_is_numeric_failure(self):
+        rt = decompose(Mat2(-5e-324, -4e-323, 0.0, -1.5e-323))
+        with pytest.raises(NumericFailureError, match="default step 0.0001 / speed 4e-323"):
+            default_step(rt)
+
     def test_trajectory_theta_unwraps_winding(self):
         traj = integrate_linear(QUARTER_TURN, (1.0, 0.0), 1e-3, 4 * math.pi)
         assert traj.theta[-1] == pytest.approx(4 * math.pi, abs=1e-8)
