@@ -197,6 +197,8 @@ class TestFormulaConcordance:
             v1 = rho_max_from_eigen_ortho(eig.lambda1, eig.lambda2, ortho.mu1, ortho.mu2)
             v2 = rho_max_from_midlines(rt.m_r, rt.m_t, eig.p_r, ortho.p_t)
             v3 = rho_max_from_separations(ortho.delta_r, eig.delta_t)
+            assert v2 == pytest.approx(v1, rel=1e-9)
+            assert v3 == pytest.approx(v1, rel=1e-9)
             closed = rho_max_closed(a).rho_max
             for v in (v1, v2, v3):
                 assert v == pytest.approx(closed, rel=1e-9)
