@@ -8,9 +8,12 @@ Cartesian integrators precompute its first 256 powers, step only every
 product, x_{b+j} = x_b + (P^j - I) x_b; a closed-form matrix exponential
 serves as their independent oracle.  The polar route integrates
 dr/dt = r R(theta), dtheta/dt = T(theta): only the angle flow is
-sequential, so a scalar loop steps theta alone, and since each RK4 step
+sequential, so a scalar loop steps theta alone.  With
+T(theta) = m_T - p sin 2(theta - theta_R), each RK4 stage's sine
+argument is v = 2(theta - theta_R) shifted by h k = h m_T - h p sin(.),
+so a step is four sines and 17 float operations.  Each RK4 step
 multiplies r by a factor that depends only on the step's start angle and
-length, the radius is one cumulative product over all steps.
+length, so the radius is one cumulative product over all steps.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -296,7 +299,10 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     With m the mean eigenvalue and d = m^2 - det(A) the squared
     half-separation, e^{At} = e^{mt} (c I + s (A - m I)) where (c, s)
     are cosh/sinh-type pair for d > 0, cos/sin-type for d < 0, and the
-    shared series limit near the repeated-eigenvalue boundary.
+    shared series limit near the repeated-eigenvalue boundary.  For
+    d > 0 the factor e^{mt} goes inside the pair, which then takes one
+    exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
+    overflow where e^{At} itself is small.
     """
     if not math.isfinite(t):
         raise InvalidInputError(f"time must be finite, got {t!r}")
@@ -306,8 +312,10 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     try:
         if x2 > 1e-8:
             w = math.sqrt(d)
-            c = math.cosh(w * t)
-            s = math.sinh(w * t) / w
+            tau = w * abs(t)
+            g = math.exp(m * t + tau)
+            c = 0.5 * g * (1.0 + math.exp(-2.0 * tau))
+            s = math.copysign(-0.5 * g * math.expm1(-2.0 * tau) / w, t)
         elif x2 < -1e-8:
             w = math.sqrt(-d)
             c = math.cos(w * t)
@@ -315,7 +323,7 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
         else:
             c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
             s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-        e = math.exp(m * t)
+        e = 1.0 if x2 > 1e-8 else math.exp(m * t)
     except OverflowError as exc:
         raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
     entries = (
@@ -334,7 +342,11 @@ def integrate_polar(
 ) -> Trajectory:
     """RK4 on the decoupled polar system dr = r R(theta), dtheta = T(theta).
 
-    The angle is stepped alone, four sines per step.  One RK4 step then
+    The angle is stepped alone, four sines per step: stage i's sine
+    argument is v = 2 (theta - theta_R) shifted by h k = a - b s (by
+    2 h k for stage 4), where a = h m_T, b = h p and s is the previous
+    stage's sine.  theta itself is the loop state, so the first sample
+    is theta0 exactly.  One RK4 step then
     multiplies r by 1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is stage
     i's radial slope per unit radius, a function of the step's start
     angle and length only; so all the factors, their cumulative product
@@ -355,35 +367,37 @@ def integrate_polar(
     ths = [th]
     append = ths.append
     for h, n in ((step, n_full), (rem, 1 if rem else 0)):
-        hh, h6 = 0.5 * h, h / 6.0
+        a, b = h * m_t, h * p  # a stage moves 2 (theta - phase) by h k = a - b sin
+        a2, b2, b6 = 2.0 * a, 2.0 * b, b / 6.0
         for _ in range(n):
-            k1 = m_t - p * sin(2.0 * (th - phase))
-            k2 = m_t - p * sin(2.0 * (th + hh * k1 - phase))
-            k3 = m_t - p * sin(2.0 * (th + hh * k2 - phase))
-            k4 = m_t - p * sin(2.0 * (th + h * k3 - phase))
-            th = th + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            v = 2.0 * (th - phase)
+            s1 = sin(v)
+            va = v + a
+            s2 = sin(va - b * s1)
+            s3 = sin(va - b * s2)
+            s4 = sin(v + a2 - b2 * s3)
+            th = th + (a - b6 * (s1 + s4 + 2.0 * (s2 + s3)))
             append(th)
 
     import numpy as np
     theta = np.fromiter(ths, float, len(ths))
-    th = theta[:-1]
     h = np.append(np.full(n_full, step), rem) if rem else step
-    # The stages again, for all steps at once; stage 1 takes the sine and
-    # cosine of 2 (theta - phase) from the samples' own, by double angles.
-    # An overflow ends as inf or nan in the last radius, checked below.
+    a, b = h * m_t, h * p
+    # The stages again, for all steps at once, with the same shifts; stage
+    # 1 takes the sine and cosine of v = 2 (theta - phase) from the
+    # samples' own, by double angles.  An overflow ends as inf or nan in
+    # the last radius, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = np.cos(theta), np.sin(theta)
         c2, s2 = ((c - s) * (c + s))[:-1], (2.0 * c * s)[:-1]
         c2p, s2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
-        k = m_t - p * (s2 * c2p - c2 * s2p)
+        v = 2.0 * (theta[:-1] - phase)
         g1 = m_r + p * (c2 * c2p + s2 * s2p)
-        u = 2.0 * (th + 0.5 * h * k - phase)
-        k = m_t - p * np.sin(u)
+        u = v + a - b * (s2 * c2p - c2 * s2p)
         g2 = (1.0 + 0.5 * h * g1) * (m_r + p * np.cos(u))
-        u = 2.0 * (th + 0.5 * h * k - phase)
-        k = m_t - p * np.sin(u)
+        u = v + a - b * np.sin(u)
         g3 = (1.0 + 0.5 * h * g2) * (m_r + p * np.cos(u))
-        u = 2.0 * (th + h * k - phase)
+        u = v + 2.0 * a - 2.0 * b * np.sin(u)
         g4 = (1.0 + h * g3) * (m_r + p * np.cos(u))
         f = 1.0 + h / 6.0 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         r = float(r0) * np.cumprod(np.append(1.0, f))

@@ -180,6 +180,21 @@ class TestMatrixExponential:
             ref = scipy.linalg.expm(a.as_array() * t)
             assert np.abs(ours - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
 
+    def test_stiff_matrices_against_scipy_expm(self):
+        # w|t| of 721 to 1499: cosh(wt) alone overflows, e^{At} is small
+        assert mat_close(matrix_exponential(Mat2(-1.0, 0.0, 0.0, -1000.0), 2.0),
+                         Mat2(math.exp(-2.0), 0.0, 0.0, 0.0), 1e-17)
+        for a, t in [
+            (rotate_conjugate(Mat2(-1.0, 0.0, 0.0, -1000.0), 0.3), 2.0),
+            (Mat2(-2.0, 7.0, 0.0, -3000.0), 1.0),
+            (Mat2(-1500.0, 4.0, -3.0, -2.0), 1.0),
+            (Mat2(-500.0, 400.0, 300.0, -700.0), 2.0),
+            (rotate_conjugate(Mat2(-0.5, 20.0, 0.0, -2000.0), 1.1), 0.8),
+        ]:
+            ours = matrix_exponential(a, t).as_array()
+            ref = scipy.linalg.expm(a.as_array() * t)
+            assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_defective_case_is_exact(self):
         # disc = 0 exactly: e^{At} = e^{2t} (I + t N)
         a = Mat2(2.0, 1.0, 0.0, 2.0)
@@ -250,12 +265,14 @@ class TestIntegrateLinear:
             integrate_linear(A_TRIANGULAR, (1.0, 0.0), 1e-3, 0.0)
 
 
-def polar_rk4_reference(rt, r0, theta0, step, t_end):
+def polar_rk4_reference(rt, r0, theta0, step, t_end, mp=None):
     """Radii and angles of RK4 on dr = r R(theta), dtheta = T(theta),
-    stage by stage, one step at a time."""
-    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
-    phase = rt.theta_r.value if rt.theta_r is not None else 0.0
-    cos, sin = math.cos, math.sin
+    stage by stage, one step at a time: in floats, or, given an mpmath
+    module, exactly at its working precision from the float parameters
+    and steps, rounded to floats at the end."""
+    num, cos, sin = (float, math.cos, math.sin) if mp is None else (mp.mpf, mp.cos, mp.sin)
+    m_r, m_t, p = num(rt.m_r), num(rt.m_t), num(rt.p)
+    phase = num(rt.theta_r.value if rt.theta_r is not None else 0.0)
 
     def rk4(r, th, h):
         u = 2.0 * (th - phase)
@@ -276,30 +293,49 @@ def polar_rk4_reference(rt, r0, theta0, step, t_end):
         )
 
     n_full = int(math.floor(t_end / step + 1e-9))
-    r, th = r0, theta0
+    r, th = num(r0), num(theta0)
     rs, ths = [r], [th]
     for h in [step] * n_full + [t_end - n_full * step]:
-        r, th = rk4(r, th, h)
+        r, th = rk4(r, th, num(h))
         rs.append(r)
         ths.append(th)
-    return np.array(rs), np.array(ths)
+    return np.array(rs, dtype=float), np.array(ths, dtype=float)
 
 
 class TestIntegratePolar:
     def test_matches_stagewise_reference(self, rng):
-        # 1e4 steps plus a partial one; the angle loop is the reference's
-        # arithmetic, the radius a product of per-step factors
-        for a in [A_SPIRAL, A_SADDLE] + [random_mat2(rng) for _ in range(20)]:
+        # 1e4 fine steps, or 300 coarse ones, plus a partial one; the loop
+        # shifts each stage's angle by h k instead of re-forming it, and the
+        # radius is a product of per-step factors, so both agree with the
+        # stagewise arithmetic to rounding
+        mats = [A_SPIRAL, A_SADDLE] + [random_mat2(rng) for _ in range(20)]
+        for h_speed, n_steps in ((1e-3, 10_000), (0.1, 300)):
+            for a in mats:
+                rt = decompose(a)
+                step = h_speed / max(max_speed(a), 1.0)
+                t_end = (n_steps + 0.37) * step
+                th0 = float(rng.uniform(-3.0, 3.0))
+                traj = integrate_polar(rt, 1.5, th0, step, t_end)
+                r, th = polar_rk4_reference(rt, 1.5, th0, step, t_end)
+                assert len(traj.t) == len(r) == n_steps + 2
+                gap = np.hypot(traj.x1 - r * np.cos(th), traj.x2 - r * np.sin(th))
+                assert (gap / r).max() <= 1e-12
+                assert np.abs(traj.theta - th).max() <= 1e-13
+
+    def test_matches_exact_rk4(self, rng):
+        # the same RK4 map evaluated to 30 digits: what the float loop
+        # adds is rounding alone, 2000 steps plus a partial one
+        mpmath = pytest.importorskip("mpmath")
+        for a in [A_SPIRAL, A_SADDLE, random_mat2(rng), random_mat2(rng)]:
             rt = decompose(a)
             step = 1e-3 / max(max_speed(a), 1.0)
-            t_end = (10_000 + 0.37) * step
+            t_end = (2000 + 0.37) * step
             th0 = float(rng.uniform(-3.0, 3.0))
             traj = integrate_polar(rt, 1.5, th0, step, t_end)
-            r, th = polar_rk4_reference(rt, 1.5, th0, step, t_end)
-            assert len(traj.t) == len(r) == 10_002
-            gap = np.hypot(traj.x1 - r * np.cos(th), traj.x2 - r * np.sin(th))
-            assert (gap / r).max() <= 1e-12
+            with mpmath.workdps(30):
+                r, th = polar_rk4_reference(rt, 1.5, th0, step, t_end, mp=mpmath)
             assert np.abs(traj.theta - th).max() <= 1e-13
+            assert (np.abs(traj.r - r) / r).max() <= 1e-12
 
     def test_flat_curves_fix_the_angle(self):
         rt = decompose(Mat2(-0.7, 0, 0, -0.7))
