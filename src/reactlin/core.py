@@ -72,6 +72,8 @@ def _separation(a: float, b: float) -> float:
 
 def _norm_mod_pi(x: float) -> float:
     """Reduce an angle to [0, pi).  Idempotent under repetition."""
+    if type(x) is float and 0.0 <= x < math.pi:  # fmod is exact here: same bits
+        return x
     y = math.fmod(x, math.pi)
     if y < 0.0:
         y += math.pi
@@ -99,9 +101,12 @@ class AngleModPi:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise InvalidInputError(f"angle must be finite, got {self.value}")
-        object.__setattr__(self, "value", _norm_mod_pi(self.value))
+        v = self.value
+        if not math.isfinite(v):
+            raise InvalidInputError(f"angle must be finite, got {v}")
+        y = _norm_mod_pi(v)
+        if y is not v:
+            object.__setattr__(self, "value", y)
 
     def shifted(self, delta: float) -> "AngleModPi":
         return AngleModPi(self.value + delta)
@@ -128,6 +133,11 @@ class Mat2:
     a22: float
 
     def __post_init__(self) -> None:
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        if (type(a11) is type(a12) is type(a21) is type(a22) is float and math.isfinite(a11)
+                and math.isfinite(a12) and math.isfinite(a21) and math.isfinite(a22)):
+            return
+        # Anything else is converted entry by entry, or refused with its name.
         for name in ("a11", "a12", "a21", "a22"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)):
@@ -206,6 +216,10 @@ class RTParams:
     theta_r: AngleModPi | None = None
 
     def __post_init__(self) -> None:
+        m_r, m_t, p = self.m_r, self.m_t, self.p
+        if (type(m_r) is type(m_t) is type(p) is float and math.isfinite(m_r) and math.isfinite(m_t)
+                and math.isfinite(p) and (p > 0.0 if self.theta_r is not None else p == 0.0)):
+            return
         for name in ("m_r", "m_t", "p"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -305,9 +319,13 @@ def rotate_conjugate(a: Mat2, gamma: float) -> Mat2:
     """
     if not math.isfinite(gamma):
         raise InvalidInputError(f"rotation angle must be finite, got {gamma!r}")
-    m = rotation_matrix(gamma)
-    m_inv = rotation_matrix(-gamma)
-    return m_inv @ a @ m
+    # rotation_matrix(-gamma) @ a @ rotation_matrix(gamma), entry by entry
+    # with the same roundings (x + -y is x - y), building one Mat2, not four.
+    ci, si = math.cos(-gamma), math.sin(-gamma)
+    b11, b12 = ci * a.a11 - si * a.a21, ci * a.a12 - si * a.a22
+    b21, b22 = si * a.a11 + ci * a.a21, si * a.a12 + ci * a.a22
+    c, s = math.cos(gamma), math.sin(gamma)
+    return Mat2(b11 * c + b12 * s, b12 * c - b11 * s, b21 * c + b22 * s, b22 * c - b21 * s)
 
 
 def reflect_conjugate(a: Mat2) -> Mat2:

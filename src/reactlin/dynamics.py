@@ -78,8 +78,10 @@ GROWTH_SLOPE_THRESHOLD = 1e-3
 class Trajectory:
     """Uniformly sampled solution states (a final partial step may occur).
 
-    theta is reconstructed as accumulated phase, never reduced mod 2pi,
-    so winding counts and mean angular speeds can be read off directly.
+    theta is rebuilt from the samples as accumulated phase: the first
+    value is arctan2(x2, x1), in (-pi, pi], and later ones are unwrapped,
+    never reduced mod 2pi, so winding counts and mean angular speeds can
+    be read off directly.
     """
 
     t: np.ndarray
@@ -345,14 +347,15 @@ def integrate_polar(
     The angle is stepped alone, four sines per step: stage i's sine
     argument is v = 2 (theta - theta_R) shifted by h k = a - b s (by
     2 h k for stage 4), where a = h m_T, b = h p and s is the previous
-    stage's sine.  theta itself is the loop state, so the first sample
-    is theta0 exactly.  One RK4 step then
-    multiplies r by 1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is stage
-    i's radial slope per unit radius, a function of the step's start
-    angle and length only; so all the factors, their cumulative product
-    and the samples are array expressions over the angle sequence.
-    Samples are returned in Cartesian form (r cos theta, r sin theta);
-    the initial angle is taken as given, unnormalized.
+    stage's sine.  theta itself is the loop state, stepped from theta0
+    as given, unnormalized.  One RK4 step then multiplies r by
+    1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is stage i's radial slope
+    per unit radius, a function of the step's start angle and length
+    only; so all the factors, their cumulative product and the samples
+    are array expressions over the angle sequence.
+    Samples are returned in Cartesian form (r cos theta, r sin theta), so
+    Trajectory.theta, rebuilt from them, starts at theta0 reduced into
+    (-pi, pi].
     """
     _check_grid(step, t_end)
     if not (r0 > 0.0 and math.isfinite(r0)):

@@ -17,6 +17,7 @@ from reactlin import (
     reconstruct,
     reflect_conjugate,
     rotate_conjugate,
+    rotation_matrix,
     symmetric_part_reactivity,
 )
 from conftest import A_SADDLE, A_SPIRAL, A_TRIANGULAR, angle_close, mat_close, random_mat2
@@ -34,6 +35,13 @@ class TestAngleModPi:
     def test_negative_epsilon_folds_into_range(self):
         a = AngleModPi(-1e-18)
         assert 0.0 <= a.value < math.pi
+        # the range's edges, bit for bit (a float already in [0, pi) is
+        # kept), and other reals come out as floats
+        below_pi = math.nextafter(math.pi, 0.0)
+        for x, expected in ((0.0, 0.0), (-0.0, -0.0), (math.pi, 0.0), (below_pi, below_pi),
+                            (-1e-18, 0.0), (1, 1.0), (np.float64(0.5), 0.5)):
+            v = AngleModPi(x).value
+            assert type(v) is float and v.hex() == expected.hex()
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
@@ -42,15 +50,21 @@ class TestAngleModPi:
 
 class TestMat2:
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            Mat2(1.0, float("inf"), 0.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            Mat2(float("nan"), 0.0, 0.0, 1.0)
+        for i, name in enumerate(("a11", "a12", "a21", "a22")):
+            for bad in (math.nan, math.inf, -math.inf):
+                entries = [1.0, -2.0, 0.5, 3.0]
+                entries[i] = bad
+                with pytest.raises(InvalidInputError) as exc:
+                    Mat2(*entries)
+                assert str(exc.value) == f"matrix entry {name}={bad!r} is not finite"
 
     def test_accepts_numpy_reals(self):
         a = Mat2(np.int64(1), np.float32(-0.5), np.float64(0.0), np.int32(-3))
         assert a == Mat2(1.0, -0.5, 0.0, -3.0)
         assert all(type(v) is float for v in (a.a11, a.a12, a.a21, a.a22))
+        for v in (2, True, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            a = Mat2(1.0, v, 0.0, 1.0)
+            assert type(a.a12) is float and a.a12 == float(v)
 
     def test_rejects_non_numbers(self):
         for bad in ("1", None, 1j, np.complex128(1.0)):
@@ -78,6 +92,15 @@ class TestRTParams:
             RTParams(1.0, 2.0, 0.0, AngleModPi(0.3))
         with pytest.raises(InvalidInputError):
             RTParams(1.0, 2.0, -0.1, AngleModPi(0.3))
+        for i, name in enumerate(("m_r", "m_t", "p")):
+            for bad in (math.nan, math.inf, -math.inf):
+                rates = [1.0, 2.0, 0.5]
+                rates[i] = bad
+                with pytest.raises(InvalidInputError) as exc:
+                    RTParams(*rates, AngleModPi(0.3))
+                assert str(exc.value) == f"{name}={bad!r} is not finite"
+        rt = RTParams(1, np.float32(2.0), Fraction(1, 2), AngleModPi(0.3))
+        assert all(type(v) is float for v in (rt.m_r, rt.m_t, rt.p))
 
     def test_extreme_accessors(self):
         rt = RTParams(-2.0, 4.0, 3.0, AngleModPi(1.0))
@@ -215,6 +238,21 @@ class TestRotateConjugate:
                 assert eval_tangential(rt_b, th) == pytest.approx(
                     eval_tangential(rt_a, th + gamma), abs=1e-10 * (1 + a.max_abs())
                 )
+
+    def test_matches_the_two_products_bit_for_bit(self, rng):
+        for _ in range(200):
+            a = random_mat2(rng).scaled(2.0 ** int(rng.integers(-500, 501)))
+            gamma = float(rng.uniform(-10.0, 10.0))
+            b = rotate_conjugate(a, gamma)
+            ref = rotation_matrix(-gamma) @ a @ rotation_matrix(gamma)
+            assert [x.hex() for x in (b.a11, b.a12, b.a21, b.a22)] == \
+                [x.hex() for x in (ref.a11, ref.a12, ref.a21, ref.a22)]
+        # M_-gamma A overflows before the second product
+        a = Mat2(1.5e308, 0.0, 1.5e308, 0.0)
+        with pytest.raises(InvalidInputError):
+            rotation_matrix(-math.pi / 4) @ a
+        with pytest.raises(InvalidInputError):
+            rotate_conjugate(a, math.pi / 4)
 
     def test_rejects_non_finite_angle(self):
         with pytest.raises(InvalidInputError):

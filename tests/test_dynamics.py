@@ -322,6 +322,13 @@ class TestIntegratePolar:
                 assert (gap / r).max() <= 1e-12
                 assert np.abs(traj.theta - th).max() <= 1e-13
 
+    def test_theta_is_rebuilt_from_the_samples(self):
+        # the loop steps theta0 = 10 as given; Trajectory.theta comes from
+        # the Cartesian samples, so it starts reduced into (-pi, pi]
+        traj = integrate_polar(decompose(A_SPIRAL), 1.0, 10.0, 1e-3, 0.01)
+        assert traj.theta[0] == pytest.approx(10.0 - 4.0 * math.pi, abs=1e-15)
+        assert np.abs(np.diff(traj.theta)).max() < 0.1
+
     def test_matches_exact_rk4(self, rng):
         # the same RK4 map evaluated to 30 digits: what the float loop
         # adds is rounding alone, 2000 steps plus a partial one
