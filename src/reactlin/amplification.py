@@ -28,15 +28,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, Mat2, RTParams, decompose, reflect_conjugate
+from .core import AngleModPi, Mat2, RTParams, _norm_mod_pi, decompose, reflect_conjugate
 from .dynamics import _rk4_increment, default_step, matrix_exponential
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .spectra import (
     DistinctRealEigen,
     DistinctRealOrtho,
+    _eigen_case,
+    _ortho_case,
     _require_reactive_attractor,
-    eigen_structure,
-    ortho_structure,
 )
 
 __all__ = [
@@ -123,11 +123,12 @@ def _reactive_rt(a: Mat2) -> tuple[RTParams, bool]:
     return rt, False
 
 
-def _reactive_arc(rt: RTParams) -> DistinctRealOrtho:
-    ortho = ortho_structure(rt)
-    if not isinstance(ortho, DistinctRealOrtho):
+def _reactive_arc(m_r: float, m_t: float, p: float) -> tuple[float, float]:
+    """p_T and the arc radius delta_R of a reactive arc with two distinct ends."""
+    case, p_t, delta_r = _ortho_case(m_r, m_t, p)
+    if case is not DistinctRealOrtho:
         raise InapplicableError("reactive arc is degenerate within tolerance")
-    return ortho
+    return p_t, delta_r
 
 
 def rho_max_bound_ortho(a: Mat2) -> float:
@@ -139,12 +140,12 @@ def rho_max_bound_ortho(a: Mat2) -> float:
 def rho_max_bound_eigen(a: Mat2) -> float:
     """Weaker strict upper bound p/p_R = 1/sin(2 delta_T); real spectra only."""
     rt, _ = _reactive_rt(a)
-    eig = eigen_structure(rt)
-    if not isinstance(eig, DistinctRealEigen):
+    case, p_r, _ = _eigen_case(rt.m_r, rt.m_t, rt.p)
+    if case is not DistinctRealEigen:
         raise InapplicableError(
             "eigenvector-separation bound needs two distinct real eigenvalues"
         )
-    return rt.p / eig.p_r
+    return rt.p / p_r
 
 
 def rho_max_closed(a: Mat2) -> AmplificationResult:
@@ -174,8 +175,7 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     e = math.frexp(rt.p)[1]
     m_r, m_t, p = math.ldexp(rt.m_r, -e), math.ldexp(rt.m_t, -e), math.ldexp(rt.p, -e)
     a = Mat2(*(math.ldexp(x, -e) for x in (a.a11, a.a12, a.a21, a.a22)))
-    ortho = _reactive_arc(RTParams(m_r, m_t, p, rt.theta_r))
-    p_t = ortho.p_t
+    p_t, delta_r = _reactive_arc(m_r, m_t, p)
     # det A of the float entries, correctly rounded by one integer division
     # (a reflection keeps det, so the unreflected entries serve).
     (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
@@ -211,7 +211,7 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
             f"|e^(A t_max)|_2 = {norm} does not certify rho_max = {rho}")
     if not rho >= 1.0 - 1e-9:
         raise NumericFailureError(f"amplification {rho} fell below 1")
-    entry = ortho.phi1.value
+    entry = _norm_mod_pi(rt.theta_r.value + -delta_r)
     return AmplificationResult(
         rho_max=rho, t_max=t_max,
         theta_entry=AngleModPi(-entry if reflected else entry),
@@ -286,8 +286,8 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     fastest rate (see default_step).
     """
     rt, reflected = _reactive_rt(a)
-    ortho = _reactive_arc(rt)
-    if ortho.mu2 <= 0.0:
+    p_t, delta_r = _reactive_arc(rt.m_r, rt.m_t, rt.p)
+    if rt.m_t - p_t <= 0.0:
         raise NumericFailureError("orthovalues not positive after canonicalization")
     if step is None:
         step = default_step(rt)
@@ -311,9 +311,9 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
         d = (2.0 * d11 + (d11 * d11 + d12 * d21), 2.0 * d12 + (d11 * d12 + d12 * d22),
              2.0 * d21 + (d21 * d11 + d22 * d21), 2.0 * d22 + (d21 * d12 + d22 * d22))
 
-    entry = ortho.phi1.value
+    entry = _norm_mod_pi(rt.theta_r.value + -delta_r)
     x, y = math.cos(entry), math.sin(entry)
-    target = entry + 2.0 * ortho.delta_r
+    target = entry + 2.0 * delta_r
     cos_t, sin_t = math.cos(target), math.sin(target)
     n = 0  # the steps taken to (x, y), the last state known before the exit
     while n < MAX_STEPS:

@@ -83,6 +83,18 @@ def _norm_mod_pi(x: float) -> float:
     return y
 
 
+def _real(label: str, v) -> float:
+    """v as a float; InvalidInputError names label if v is no numbers.Real or too large."""
+    if not isinstance(v, (int, float)):
+        import numbers  # numpy integers, float32 etc.; kept off the cold path
+        if not isinstance(v, numbers.Real):
+            raise InvalidInputError(f"{label}={v!r} is not a real number")
+    try:
+        return float(v)
+    except OverflowError:  # an integer or fraction beyond the float range
+        raise InvalidInputError(f"{label} is too large for a float") from None
+
+
 def angle_distance_mod_pi(a: float, b: float) -> float:
     """Distance between two angles identified modulo pi, in [0, pi/2]."""
     d = _norm_mod_pi(a - b)
@@ -101,11 +113,11 @@ class AngleModPi:
     value: float
 
     def __post_init__(self) -> None:
-        v = self.value
+        v = self.value if type(self.value) is float else _real("angle", self.value)
         if not math.isfinite(v):
-            raise InvalidInputError(f"angle must be finite, got {v}")
+            raise InvalidInputError(f"angle must be finite, got {self.value}")
         y = _norm_mod_pi(v)
-        if y is not v:
+        if y is not self.value:
             object.__setattr__(self, "value", y)
 
     def shifted(self, delta: float) -> "AngleModPi":
@@ -140,17 +152,9 @@ class Mat2:
         # Anything else is converted entry by entry, or refused with its name.
         for name in ("a11", "a12", "a21", "a22"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)):
-                import numbers  # numpy integers, float32 etc.; kept off the cold path
-                if not isinstance(v, numbers.Real):
-                    raise InvalidInputError(f"matrix entry {name}={v!r} is not a real number")
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # an integer or fraction beyond the float range
-                raise InvalidInputError(f"matrix entry {name} is too large for a float") from None
-            if not finite:
+            if not math.isfinite(x := _real(f"matrix entry {name}", v)):
                 raise InvalidInputError(f"matrix entry {name}={v!r} is not finite")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, x)
 
     @classmethod
     def from_array(cls, arr) -> "Mat2":
@@ -222,9 +226,9 @@ class RTParams:
             return
         for name in ("m_r", "m_t", "p"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not math.isfinite(x := _real(name, v)):
                 raise InvalidInputError(f"{name}={v!r} is not finite")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, x)
         if self.p < 0.0:
             raise InvalidInputError(f"amplitude p must be >= 0, got {self.p}")
         if (self.theta_r is None) != (self.p == 0.0):
@@ -257,6 +261,18 @@ class RTParams:
         return self.theta_r.shifted(-math.pi / 4)
 
 
+def _parts(a: Mat2) -> tuple[float, float, float, float | None]:
+    """decompose(a) as plain floats (m_R, m_T, p, theta_R or None)."""
+    m_r = 0.5 * (a.a11 + a.a22)
+    m_t = 0.5 * (a.a21 - a.a12)
+    cos_part = a.a11 - a.a22        # 2p cos(2 theta_R)
+    sin_part = a.a12 + a.a21        # 2p sin(2 theta_R)
+    p = 0.5 * math.hypot(cos_part, sin_part)
+    if p <= P_ZERO_RTOL * _scale(m_r, m_t, p):
+        return m_r, m_t, 0.0, None
+    return m_r, m_t, p, _norm_mod_pi(0.5 * math.atan2(sin_part, cos_part))
+
+
 def decompose(a: Mat2) -> RTParams:
     """Split A into its radial/tangential parameters.
 
@@ -264,15 +280,8 @@ def decompose(a: Mat2) -> RTParams:
     1e-12 * (|m_R| + |m_T| + p); at that scale the phase theta_R is
     numerically meaningless and is reported as absent.
     """
-    m_r = 0.5 * (a.a11 + a.a22)
-    m_t = 0.5 * (a.a21 - a.a12)
-    cos_part = a.a11 - a.a22        # 2p cos(2 theta_R)
-    sin_part = a.a12 + a.a21        # 2p sin(2 theta_R)
-    p = 0.5 * math.hypot(cos_part, sin_part)
-    if p <= P_ZERO_RTOL * _scale(m_r, m_t, p):
-        return RTParams(m_r, m_t, 0.0, None)
-    theta_r = AngleModPi(0.5 * math.atan2(sin_part, cos_part))
-    return RTParams(m_r, m_t, p, theta_r)
+    m_r, m_t, p, theta_r = _parts(a)
+    return RTParams(m_r, m_t, p, None if theta_r is None else AngleModPi(theta_r))
 
 
 def reconstruct(rt: RTParams) -> Mat2:
@@ -317,7 +326,7 @@ def rotate_conjugate(a: Mat2, gamma: float) -> Mat2:
     curves by gamma: R_B(theta) = R_A(theta + gamma) and likewise for T.
     Midlines, amplitude, eigenvalues and orthovalues are all unchanged.
     """
-    if not math.isfinite(gamma):
+    if not math.isfinite(_real("rotation angle", gamma)):
         raise InvalidInputError(f"rotation angle must be finite, got {gamma!r}")
     # rotation_matrix(-gamma) @ a @ rotation_matrix(gamma), entry by entry
     # with the same roundings (x + -y is x - y), building one Mat2, not four.

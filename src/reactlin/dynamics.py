@@ -42,6 +42,7 @@ from .core import (
     Mat2,
     QUARTER_TURN,
     RTParams,
+    _real,
     decompose,
     rotate_conjugate,
 )
@@ -306,7 +307,7 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
     overflow where e^{At} itself is small.
     """
-    if not math.isfinite(t):
+    if not math.isfinite(_real("time", t)):
         raise InvalidInputError(f"time must be finite, got {t!r}")
     m = 0.5 * a.trace()
     d = m * m - a.det()
@@ -426,7 +427,7 @@ class NonautConfig:
     k: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.k):
+        if not math.isfinite(_real("rotation rate k", self.k)):
             raise InvalidInputError(f"rotation rate k must be finite, got {self.k!r}")
         object.__setattr__(self, "k", float(self.k))
         _require_reactive_attractor(decompose(self.base), "nonautonomous rotation analysis")

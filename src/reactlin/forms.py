@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mat2, _norm_mod_pi, _scale, decompose, rotate_conjugate
+from .core import Mat2, _norm_mod_pi, _parts, _scale, rotate_conjugate
 from .errors import InapplicableError
-from .spectra import DistinctRealEigen, DistinctRealOrtho, eigen_structure, ortho_structure
+from .spectra import DistinctRealEigen, DistinctRealOrtho, _eigen_case, _ortho_case
 
 __all__ = [
     "StandardFormKind",
@@ -69,44 +69,40 @@ def _build(a: Mat2, kind: StandardFormKind, gamma: float) -> StandardFormResult:
 
 def to_r_centered(a: Mat2) -> StandardFormResult:
     """Rotate so R attains its maximum on the positive x-axis."""
-    rt = decompose(a)
-    if rt.theta_r is None:
+    theta_r = _parts(a)[3]
+    if theta_r is None:
         raise InapplicableError("R-centered form undefined: p = 0, no phase angle")
-    return _build(a, StandardFormKind.R_CENTERED, rt.theta_r.value)
+    return _build(a, StandardFormKind.R_CENTERED, theta_r)
 
 
 def to_t_centered(a: Mat2) -> StandardFormResult:
     """Rotate so T attains its maximum on the positive x-axis."""
-    rt = decompose(a)
-    theta_t = rt.theta_t
-    if theta_t is None:
+    theta_r = _parts(a)[3]
+    if theta_r is None:
         raise InapplicableError("T-centered form undefined: p = 0, no phase angle")
-    return _build(a, StandardFormKind.T_CENTERED, theta_t.value)
+    return _build(a, StandardFormKind.T_CENTERED, _norm_mod_pi(theta_r - math.pi / 4))
 
 
 def to_r_zeroed(a: Mat2) -> StandardFormResult:
     """Rotate a zero of R onto the x-axis, reactive arc ahead of it."""
-    rt = decompose(a)
-    ortho = ortho_structure(rt)
-    if not isinstance(ortho, DistinctRealOrtho):
+    m_r, m_t, p, theta_r = _parts(a)
+    case, _, delta_r = _ortho_case(m_r, m_t, p)
+    if case is not DistinctRealOrtho:
         raise InapplicableError(
             "R-zeroed form needs two real orthovalues; R does not cross zero"
         )
-    assert rt.theta_r is not None
-    return _build(a, StandardFormKind.R_ZEROED, rt.theta_r.value - ortho.delta_r)
+    return _build(a, StandardFormKind.R_ZEROED, theta_r - delta_r)
 
 
 def to_t_zeroed(a: Mat2) -> StandardFormResult:
     """Rotate an eigenline onto the x-axis, positive-T arc ahead of it."""
-    rt = decompose(a)
-    eig = eigen_structure(rt)
-    if not isinstance(eig, DistinctRealEigen):
+    m_r, m_t, p, theta_r = _parts(a)
+    case, _, delta_t = _eigen_case(m_r, m_t, p)
+    if case is not DistinctRealEigen:
         raise InapplicableError(
             "T-zeroed form needs two distinct real eigenvalues"
         )
-    theta_t = rt.theta_t
-    assert theta_t is not None
-    return _build(a, StandardFormKind.T_ZEROED, theta_t.value - eig.delta_t)
+    return _build(a, StandardFormKind.T_ZEROED, _norm_mod_pi(theta_r - math.pi / 4) - delta_t)
 
 
 def verify_form(a: Mat2, kind: StandardFormKind) -> bool:
@@ -118,12 +114,12 @@ def verify_form(a: Mat2, kind: StandardFormKind) -> bool:
     |m_R| + |m_T| + p; the slope-sign clauses of the zeroed forms accept
     an exactly repeated zero (slope zero within tolerance).
     """
-    rt = decompose(a)
-    tol = VERIFY_RTOL * _scale(rt.m_r, rt.m_t, rt.p)
+    m_r, m_t, p, _ = _parts(a)
+    tol = VERIFY_RTOL * _scale(m_r, m_t, p)
     if kind is StandardFormKind.R_CENTERED:
-        return abs(a.a11 - rt.rho1) <= tol
+        return abs(a.a11 - (m_r + p)) <= tol
     if kind is StandardFormKind.T_CENTERED:
-        return abs(a.a21 - rt.tau1) <= tol
+        return abs(a.a21 - (m_t + p)) <= tol
     if kind is StandardFormKind.R_ZEROED:
         return abs(a.a11) <= tol and a.a12 + a.a21 >= -tol
     if kind is StandardFormKind.T_ZEROED:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, RTParams, _scale, _separation
+from .core import AngleModPi, RTParams, _norm_mod_pi, _scale, _separation
 from .errors import InapplicableError
 
 __all__ = [
@@ -104,31 +104,39 @@ EigenStructure = (
 )
 
 
-def eigen_structure(rt: RTParams) -> EigenStructure:
-    """Classify the spectrum from the decomposition parameters."""
-    p, m_t = rt.p, rt.m_t
-    tol = CASE_RTOL * _scale(rt.m_r, m_t, p)
+def _eigen_case(m_r: float, m_t: float, p: float) -> tuple[type, float, float]:
+    """p vs |m_T| on floats: the type eigen_structure builds, p_R (im for a
+    complex pair) and delta_T, each 0.0 where the case has none."""
+    tol = CASE_RTOL * _scale(m_r, m_t, p)
     if abs(p - abs(m_t)) <= tol:
-        if p <= tol:
-            return RepeatedFullEigen(lam=rt.m_r)
-        # T touches zero at its extremum nearest the axis crossing.
-        assert rt.theta_r is not None
-        shift = math.pi / 4 if m_t > 0 else -math.pi / 4
-        return RepeatedDefectiveEigen(lam=rt.m_r, theta0=rt.theta_r.shifted(shift))
+        return (RepeatedFullEigen if p <= tol else RepeatedDefectiveEigen), 0.0, 0.0
     if p < abs(m_t):
-        return ComplexPairEigen(re=rt.m_r, im=_separation(m_t, p))
+        return ComplexPairEigen, _separation(m_t, p), 0.0
     # p > |m_T|: two zeros of T, symmetric around theta_T.
     p_r = _separation(p, m_t)
-    delta_t = 0.5 * math.atan2(p_r, -m_t)
-    theta_t = rt.theta_t
-    assert theta_t is not None
+    return DistinctRealEigen, p_r, 0.5 * math.atan2(p_r, -m_t)
+
+
+def eigen_structure(rt: RTParams) -> EigenStructure:
+    """Classify the spectrum from the decomposition parameters."""
+    m_r, m_t = rt.m_r, rt.m_t
+    case, sep, delta_t = _eigen_case(m_r, m_t, rt.p)
+    if case is RepeatedFullEigen:
+        return RepeatedFullEigen(lam=m_r)
+    if case is ComplexPairEigen:
+        return ComplexPairEigen(re=m_r, im=sep)
+    if case is RepeatedDefectiveEigen:
+        # T touches zero at its extremum nearest the axis crossing.
+        shift = math.pi / 4 if m_t > 0 else -math.pi / 4
+        return RepeatedDefectiveEigen(lam=m_r, theta0=rt.theta_r.shifted(shift))
+    theta_t = _norm_mod_pi(rt.theta_r.value - math.pi / 4)
     return DistinctRealEigen(
-        lambda1=rt.m_r + p_r,
-        lambda2=rt.m_r - p_r,
-        theta1=theta_t.shifted(delta_t),
-        theta2=theta_t.shifted(-delta_t),
+        lambda1=m_r + sep,
+        lambda2=m_r - sep,
+        theta1=AngleModPi(theta_t + delta_t),
+        theta2=AngleModPi(theta_t + -delta_t),
         delta_t=delta_t,
-        p_r=p_r,
+        p_r=sep,
     )
 
 
@@ -175,25 +183,33 @@ class RepeatedOrtho:
 OrthoStructure = DistinctRealOrtho | NoRealOrtho | AllOrtho | RepeatedOrtho
 
 
+def _ortho_case(m_r: float, m_t: float, p: float) -> tuple[type, float, float]:
+    """p vs |m_R| on floats: the type ortho_structure builds, p_T and
+    delta_R, both 0.0 unless the orthovector lines are distinct."""
+    tol = CASE_RTOL * _scale(m_r, m_t, p)
+    if abs(p - abs(m_r)) <= tol:
+        return (AllOrtho if p <= tol else RepeatedOrtho), 0.0, 0.0
+    if p < abs(m_r):
+        return NoRealOrtho, 0.0, 0.0
+    p_t = _separation(p, m_r)
+    return DistinctRealOrtho, p_t, 0.5 * math.atan2(p_t, -m_r)
+
+
 def ortho_structure(rt: RTParams) -> OrthoStructure:
     """Classify the orthovectors; mirrors eigen_structure with m_R."""
-    p, m_r = rt.p, rt.m_r
-    tol = CASE_RTOL * _scale(m_r, rt.m_t, p)
-    if abs(p - abs(m_r)) <= tol:
-        if p <= tol:
-            return AllOrtho(mu=rt.m_t)
-        assert rt.theta_r is not None
+    m_r, m_t = rt.m_r, rt.m_t
+    case, p_t, delta_r = _ortho_case(m_r, m_t, rt.p)
+    if case is AllOrtho:
+        return AllOrtho(mu=m_t)
+    if case is NoRealOrtho:
+        return NoRealOrtho()
+    if case is RepeatedOrtho:
         # R touches zero at its maximum (m_R < 0) or minimum (m_R > 0).
         shift = 0.0 if m_r < 0 else math.pi / 2
-        return RepeatedOrtho(mu=rt.m_t, phi0=rt.theta_r.shifted(shift))
-    if p < abs(m_r):
-        return NoRealOrtho()
-    p_t = _separation(p, m_r)
-    delta_r = 0.5 * math.atan2(p_t, -m_r)
-    assert rt.theta_r is not None
+        return RepeatedOrtho(mu=m_t, phi0=rt.theta_r.shifted(shift))
     return DistinctRealOrtho(
-        mu1=rt.m_t + p_t,
-        mu2=rt.m_t - p_t,
+        mu1=m_t + p_t,
+        mu2=m_t - p_t,
         phi1=rt.theta_r.shifted(-delta_r),
         phi2=rt.theta_r.shifted(delta_r),
         delta_r=delta_r,
@@ -234,50 +250,24 @@ class TransientSummary:
     is_attenuating: bool
 
 
-def _reactive_set(rt: RTParams, ortho: OrthoStructure) -> tuple[float, float] | None:
-    if isinstance(ortho, DistinctRealOrtho):
-        lo = ortho.phi1.value
-        hi = lo + 2.0 * ortho.delta_r
-        return (lo, hi)
-    if isinstance(ortho, AllOrtho):
-        return None
-    if isinstance(ortho, RepeatedOrtho):
-        # R touches zero from below (m_R < 0, empty interior) or from
-        # above (m_R > 0, everything but the touch point).
-        if rt.m_r > 0:
-            return (ortho.phi0.value, ortho.phi0.value + math.pi)
-        return None
-    # NoRealOrtho: single-signed R.
-    if rt.rho2 > 0:
-        return (0.0, math.pi)
-    return None
-
-
 def transient_summary(rt: RTParams) -> TransientSummary:
     """Reactivity, attenuation, reactive arc and orbit classification."""
+    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
     rho1, rho2 = rt.rho1, rt.rho2
-    eig = eigen_structure(rt)
-    ortho = ortho_structure(rt)
-    eig_tol = CASE_RTOL * _scale(rt.m_r, rt.m_t, rt.p)
+    eig, p_r, _ = _eigen_case(m_r, m_t, p)
+    ortho, _, delta_r = _ortho_case(m_r, m_t, p)
+    eig_tol = CASE_RTOL * _scale(m_r, m_t, p)
 
-    if isinstance(eig, DistinctRealEigen):
-        lam1, lam2 = eig.lambda1, eig.lambda2
+    if eig is DistinctRealEigen:
+        lam1, lam2 = m_r + p_r, m_r - p_r
     else:  # a complex or repeated pair has real part m_R
-        lam1 = lam2 = rt.m_r
+        lam1 = lam2 = m_r
 
-    if isinstance(ortho, AllOrtho):
+    if ortho is AllOrtho:
         # R identically zero: concentric circles, or the zero matrix.
-        cls = (
-            Classification.CIRCULAR_CENTER
-            if abs(rt.m_t) > eig_tol
-            else Classification.DEGENERATE
-        )
+        cls = Classification.CIRCULAR_CENTER if abs(m_t) > eig_tol else Classification.DEGENERATE
     elif min(abs(lam1), abs(lam2)) <= eig_tol:
-        cls = (
-            Classification.CENTER
-            if isinstance(eig, ComplexPairEigen)
-            else Classification.DEGENERATE
-        )
+        cls = Classification.CENTER if eig is ComplexPairEigen else Classification.DEGENERATE
     elif lam1 < 0 and lam2 < 0:
         cls = (
             Classification.REACTIVE_ATTRACTOR
@@ -293,10 +283,22 @@ def transient_summary(rt: RTParams) -> TransientSummary:
     else:
         cls = Classification.SADDLE
 
+    if ortho is DistinctRealOrtho:
+        lo = _norm_mod_pi(rt.theta_r.value + -delta_r)
+        arc = (lo, lo + 2.0 * delta_r)
+    elif ortho is RepeatedOrtho and m_r > 0:
+        # R touches zero from above: all but phi0 (from below nothing is reactive).
+        lo = _norm_mod_pi(rt.theta_r.value + math.pi / 2)
+        arc = (lo, lo + math.pi)
+    elif ortho is NoRealOrtho and rho2 > 0:  # R single-signed and positive
+        arc = (0.0, math.pi)
+    else:
+        arc = None
+
     return TransientSummary(
         rho1=rho1,
         rho2=rho2,
-        reactive_set=_reactive_set(rt, ortho),
+        reactive_set=arc,
         classification=cls,
         is_reactive=rho1 > 0,
         is_attenuating=rho2 < 0,

@@ -47,6 +47,17 @@ class TestAngleModPi:
         with pytest.raises(InvalidInputError):
             AngleModPi(float("nan"))
 
+    def test_names_the_angle_it_cannot_convert(self):
+        for bad, message in (("x", "angle='x' is not a real number"),
+                             (None, "angle=None is not a real number"),
+                             (10**400, "angle is too large for a float"),
+                             (Fraction(-10**400, 3), "angle is too large for a float"),
+                             (math.inf, "angle must be finite, got inf"),
+                             (np.float64("nan"), "angle must be finite, got nan")):
+            with pytest.raises(InvalidInputError) as exc:
+                AngleModPi(bad)
+            assert str(exc.value) == message
+
 
 class TestMat2:
     def test_rejects_non_finite(self):
@@ -93,12 +104,18 @@ class TestRTParams:
         with pytest.raises(InvalidInputError):
             RTParams(1.0, 2.0, -0.1, AngleModPi(0.3))
         for i, name in enumerate(("m_r", "m_t", "p")):
-            for bad in (math.nan, math.inf, -math.inf):
+            for bad, message in ((math.nan, f"{name}=nan is not finite"),
+                                 (math.inf, f"{name}=inf is not finite"),
+                                 (-math.inf, f"{name}=-inf is not finite"),
+                                 ("x", f"{name}='x' is not a real number"),
+                                 (1j, f"{name}=1j is not a real number"),
+                                 (10**400, f"{name} is too large for a float"),
+                                 (Fraction(10**400, 3), f"{name} is too large for a float")):
                 rates = [1.0, 2.0, 0.5]
                 rates[i] = bad
                 with pytest.raises(InvalidInputError) as exc:
                     RTParams(*rates, AngleModPi(0.3))
-                assert str(exc.value) == f"{name}={bad!r} is not finite"
+                assert str(exc.value) == message
         rt = RTParams(1, np.float32(2.0), Fraction(1, 2), AngleModPi(0.3))
         assert all(type(v) is float for v in (rt.m_r, rt.m_t, rt.p))
 
@@ -257,6 +274,12 @@ class TestRotateConjugate:
     def test_rejects_non_finite_angle(self):
         with pytest.raises(InvalidInputError):
             rotate_conjugate(A_TRIANGULAR, float("nan"))
+        for bad, message in (("x", "rotation angle='x' is not a real number"),
+                             (10**400, "rotation angle is too large for a float"),
+                             (-math.inf, "rotation angle must be finite, got -inf")):
+            with pytest.raises(InvalidInputError) as exc:
+                rotate_conjugate(A_TRIANGULAR, bad)
+            assert str(exc.value) == message
 
 
 class TestReflectConjugate:

@@ -208,6 +208,14 @@ class TestMatrixExponential:
             with pytest.raises(NumericFailureError):
                 matrix_exponential(a, 1.0)
 
+    def test_names_the_time_it_cannot_use(self):
+        for bad, message in (("x", "time='x' is not a real number"),
+                             (10**400, "time is too large for a float"),
+                             (math.nan, "time must be finite, got nan")):
+            with pytest.raises(InvalidInputError) as exc:
+                matrix_exponential(A_TRIANGULAR, bad)
+            assert str(exc.value) == message
+
 
 class TestIntegrateLinear:
     def test_scalar_exponential(self):
@@ -427,6 +435,15 @@ class TestNonautMatrices:
     def test_config_requires_reactive_attractor(self):
         with pytest.raises(InapplicableError):
             NonautConfig(Mat2(-3.0, 0.1, 0.0, -3.0), 1.0)
+
+    def test_config_names_the_rate_it_cannot_use(self):
+        for bad, message in (("x", "rotation rate k='x' is not a real number"),
+                             (10**400, "rotation rate k is too large for a float"),
+                             (math.inf, "rotation rate k must be finite, got inf")):
+            with pytest.raises(InvalidInputError) as exc:
+                NonautConfig(A_SPIRAL, bad)
+            assert str(exc.value) == message
+        assert type(NonautConfig(A_SPIRAL, 2).k) is float
 
 
 class TestRepulsionWindow:

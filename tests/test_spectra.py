@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reactlin import (
     AllOrtho,
@@ -32,6 +33,7 @@ from reactlin import (
     transient_summary,
 )
 from reactlin.core import AngleModPi, RTParams
+from reactlin.spectra import CASE_RTOL
 from conftest import A_SADDLE, A_SPIRAL, A_TRIANGULAR, angle_close, random_mat2
 
 SQRT13 = math.sqrt(13.0)
@@ -369,3 +371,80 @@ class TestAngularPhaseLine:
         line = angular_phase_line(rt)
         assert len(line.equilibria) == 1
         assert line.equilibria[0].stability is Stability.SEMI_STABLE
+
+
+# ---------------------------------------------------------------------------
+# straddling the tie bands p = |m_T| and p = |m_R|
+
+_midline = st.floats(-10.0, 10.0)
+_tied = st.floats(0.1, 10.0).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
+def _straddle(m_r: float, m_t: float, on_m_t: bool, theta: float, k: float):
+    """RTParams with p = |x| (1 + eps), x = m_T or m_R, eps k times the tie
+    band's relative half width, and the bound sqrt(|p^2 - x^2|) / (2 |x|),
+    about sqrt(eps / 2), on the angle that the two crossings then lie from
+    the tie's single line (half the atan of that ratio)."""
+    x = abs(m_t if on_m_t else m_r)
+    p = x * (1.0 + k * CASE_RTOL * (abs(m_r) + abs(m_t) + x) / x)
+    bound = 0.5 * math.sqrt(abs((p - x) * (p + x))) / x
+    return RTParams(m_r, m_t, p, AngleModPi(theta)), bound * (1.0 + 1e-12) + 1e-14
+
+
+def _tie(m_r: float, m_t: float, on_m_t: bool, theta: float) -> RTParams:
+    return RTParams(m_r, m_t, abs(m_t if on_m_t else m_r), AngleModPi(theta))
+
+
+class TestStraddling:
+    """Each side of a tie band tends to the tie's own structure."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_midline, _tied, st.floats(0.0, math.pi), st.floats(0.3, 6.0))
+    def test_eigenlines_close_on_the_defective_line(self, m_r, m_t, theta, log_k):
+        tie = eigen_structure(_tie(m_r, m_t, True, theta))
+        assert isinstance(tie, RepeatedDefectiveEigen)
+        inside, _ = _straddle(m_r, m_t, True, theta, 0.5)
+        assert eigen_structure(inside) == tie
+        below, _ = _straddle(m_r, m_t, True, theta, -(10.0 ** log_k))
+        assert isinstance(eigen_structure(below), ComplexPairEigen)
+        above, bound = _straddle(m_r, m_t, True, theta, 10.0 ** log_k)
+        eig = eigen_structure(above)
+        assert isinstance(eig, DistinctRealEigen)
+        assert eig.theta1.distance(tie.theta0) <= bound
+        assert eig.theta2.distance(tie.theta0) <= bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tied, _midline, st.floats(0.0, math.pi), st.floats(0.3, 6.0))
+    def test_orthovector_lines_close_on_phi0(self, m_r, m_t, theta, log_k):
+        tie = ortho_structure(_tie(m_r, m_t, False, theta))
+        assert isinstance(tie, RepeatedOrtho)
+        inside, _ = _straddle(m_r, m_t, False, theta, 0.5)
+        assert ortho_structure(inside) == tie
+        below, _ = _straddle(m_r, m_t, False, theta, -(10.0 ** log_k))
+        assert isinstance(ortho_structure(below), NoRealOrtho)
+        above, bound = _straddle(m_r, m_t, False, theta, 10.0 ** log_k)
+        ortho = ortho_structure(above)
+        assert isinstance(ortho, DistinctRealOrtho)
+        assert ortho.phi1.distance(tie.phi0) <= bound
+        assert ortho.phi2.distance(tie.phi0) <= bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tied, _midline, st.floats(0.0, math.pi), st.floats(0.3, 6.0))
+    def test_reactive_set_empties_or_fills_the_period(self, m_r, m_t, theta, log_k):
+        # m_R < 0: the arc shrinks to nothing; m_R > 0: it grows to the whole
+        # period but its touch point phi0, and then R > 0 everywhere
+        phi0 = ortho_structure(_tie(m_r, m_t, False, theta)).phi0.value
+        inside, _ = _straddle(m_r, m_t, False, theta, 0.5)
+        below, _ = _straddle(m_r, m_t, False, theta, -(10.0 ** log_k))
+        above, bound = _straddle(m_r, m_t, False, theta, 10.0 ** log_k)
+        lo, hi = transient_summary(above).reactive_set
+        if m_r < 0:
+            assert transient_summary(inside).reactive_set is None
+            assert transient_summary(below).reactive_set is None
+            assert 0.0 < hi - lo <= 2.0 * bound
+            assert angle_close(lo, phi0, bound) and angle_close(hi, phi0, bound)
+        else:
+            assert transient_summary(inside).reactive_set == (phi0, phi0 + math.pi)
+            assert transient_summary(below).reactive_set == (0.0, math.pi)
+            assert 0.0 < math.pi - (hi - lo) <= 2.0 * bound
+            assert angle_close(lo, phi0, bound)
