@@ -28,16 +28,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, Mat2, RTParams, _norm_mod_pi, decompose, reflect_conjugate
+from .core import AngleModPi, Mat2, RTParams, _norm_mod_pi, _real, decompose, reflect_conjugate
 from .dynamics import _rk4_increment, default_step, matrix_exponential
-from .errors import InapplicableError, InvalidInputError, NumericFailureError
-from .spectra import (
-    DistinctRealEigen,
-    DistinctRealOrtho,
-    _eigen_case,
-    _ortho_case,
-    _require_reactive_attractor,
-)
+from .errors import InapplicableError, NumericFailureError
+from .spectra import DistinctRealEigen, _eigen_case, _reactive_arc, _require_reactive_attractor
 
 __all__ = [
     "AmplificationMethod",
@@ -121,14 +115,6 @@ def _reactive_rt(a: Mat2) -> tuple[RTParams, bool]:
         assert rt.theta_r is not None
         return RTParams(rt.m_r, -rt.m_t, rt.p, AngleModPi(-rt.theta_r.value)), True
     return rt, False
-
-
-def _reactive_arc(m_r: float, m_t: float, p: float) -> tuple[float, float]:
-    """p_T and the arc radius delta_R of a reactive arc with two distinct ends."""
-    case, p_t, delta_r = _ortho_case(m_r, m_t, p)
-    if case is not DistinctRealOrtho:
-        raise InapplicableError("reactive arc is degenerate within tolerance")
-    return p_t, delta_r
 
 
 def rho_max_bound_ortho(a: Mat2) -> float:
@@ -289,10 +275,7 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     p_t, delta_r = _reactive_arc(rt.m_r, rt.m_t, rt.p)
     if rt.m_t - p_t <= 0.0:
         raise NumericFailureError("orthovalues not positive after canonicalization")
-    if step is None:
-        step = default_step(rt)
-    if not (step > 0.0 and math.isfinite(step)):
-        raise InvalidInputError(f"step must be a positive real, got {step}")
+    step = default_step(rt) if step is None else _real("step", step, positive=True)
 
     canon = reflect_conjugate(a) if reflected else a
     e11, e12, e21, e22 = _rk4_increment(canon.a11, canon.a12, canon.a21, canon.a22, step)

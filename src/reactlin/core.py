@@ -83,16 +83,26 @@ def _norm_mod_pi(x: float) -> float:
     return y
 
 
-def _real(label: str, v) -> float:
-    """v as a float; InvalidInputError names label if v is no numbers.Real or too large."""
+def _real(label: str, v, positive: bool = False) -> float:
+    """v as a finite float, > 0 if positive: the one admission rule for a
+    public scalar argument.  Anything else raises InvalidInputError naming
+    label: a non-number, a real beyond the float range, nan or inf, and a
+    value that is not positive when positive is asked for."""
+    if type(v) is float and math.isfinite(v) and (v > 0.0 or not positive):
+        return v
     if not isinstance(v, (int, float)):
         import numbers  # numpy integers, float32 etc.; kept off the cold path
         if not isinstance(v, numbers.Real):
             raise InvalidInputError(f"{label}={v!r} is not a real number")
     try:
-        return float(v)
+        x = float(v)
     except OverflowError:  # an integer or fraction beyond the float range
         raise InvalidInputError(f"{label} is too large for a float") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{label}={v!r} is not finite")
+    if positive and x <= 0.0:
+        raise InvalidInputError(f"{label}={v!r} is not positive")
+    return x
 
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
@@ -113,9 +123,9 @@ class AngleModPi:
     value: float
 
     def __post_init__(self) -> None:
-        v = self.value if type(self.value) is float else _real("angle", self.value)
-        if not math.isfinite(v):
-            raise InvalidInputError(f"angle must be finite, got {self.value}")
+        v = self.value
+        if type(v) is not float or not math.isfinite(v):
+            v = _real("angle", v)
         y = _norm_mod_pi(v)
         if y is not self.value:
             object.__setattr__(self, "value", y)
@@ -151,10 +161,7 @@ class Mat2:
             return
         # Anything else is converted entry by entry, or refused with its name.
         for name in ("a11", "a12", "a21", "a22"):
-            v = getattr(self, name)
-            if not math.isfinite(x := _real(f"matrix entry {name}", v)):
-                raise InvalidInputError(f"matrix entry {name}={v!r} is not finite")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, _real(f"matrix entry {name}", getattr(self, name)))
 
     @classmethod
     def from_array(cls, arr) -> "Mat2":
@@ -225,10 +232,7 @@ class RTParams:
                 and math.isfinite(p) and (p > 0.0 if self.theta_r is not None else p == 0.0)):
             return
         for name in ("m_r", "m_t", "p"):
-            v = getattr(self, name)
-            if not math.isfinite(x := _real(name, v)):
-                raise InvalidInputError(f"{name}={v!r} is not finite")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.p < 0.0:
             raise InvalidInputError(f"amplitude p must be >= 0, got {self.p}")
         if (self.theta_r is None) != (self.p == 0.0):
@@ -326,8 +330,7 @@ def rotate_conjugate(a: Mat2, gamma: float) -> Mat2:
     curves by gamma: R_B(theta) = R_A(theta + gamma) and likewise for T.
     Midlines, amplitude, eigenvalues and orthovalues are all unchanged.
     """
-    if not math.isfinite(_real("rotation angle", gamma)):
-        raise InvalidInputError(f"rotation angle must be finite, got {gamma!r}")
+    gamma = _real("rotation angle", gamma)
     # rotation_matrix(-gamma) @ a @ rotation_matrix(gamma), entry by entry
     # with the same roundings (x + -y is x - y), building one Mat2, not four.
     ci, si = math.cos(-gamma), math.sin(-gamma)

@@ -47,7 +47,7 @@ from .core import (
     rotate_conjugate,
 )
 from .errors import InvalidInputError, NumericFailureError
-from .spectra import DistinctRealOrtho, _require_reactive_attractor, ortho_structure
+from .spectra import _reactive_arc, _require_reactive_attractor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,13 +107,6 @@ def _trajectory(ts: np.ndarray, xs, ys, step: float, method: str) -> Trajectory:
     return Trajectory(t=ts, x1=np.asarray(xs), x2=np.asarray(ys), step=step, method=method)
 
 
-def _check_grid(step: float, t_end: float) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidInputError(f"step must be a positive real, got {step}")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise InvalidInputError(f"t_end must be a positive real, got {t_end}")
-
-
 def _grid(step: float, t_end: float) -> tuple[int, float]:
     """Number of full steps and the partial final step (0 if none)."""
     n_full = int(math.floor(t_end / step + 1e-9))
@@ -145,6 +138,7 @@ def default_step(rt: RTParams, base: float = 1e-4) -> float:
     The zero matrix, which has no rate, steps at base.  A system so slow
     that base / speed overflows raises NumericFailureError.
     """
+    base = _real("base", base, positive=True)
     speed = max(abs(rt.rho1), abs(rt.rho2), abs(rt.tau1), abs(rt.tau2))
     step = base / speed if speed > 0.0 else base
     if step == math.inf:
@@ -255,8 +249,7 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
     and one batched product fills every block, x_{bm} + D_j x_{bm}, in the
     output array, padded to whole blocks and trimmed by a view.
     """
-    _check_grid(step, t_end)
-    x, y = float(x0[0]), float(x0[1])
+    x, y = _real("x0[0]", x0[0]), _real("x0[1]", x0[1])
     if x == 0.0 and y == 0.0:
         raise InvalidInputError("initial state must be nonzero")
     n_full, rem = _grid(step, t_end)
@@ -290,6 +283,7 @@ def integrate_linear(
     a: Mat2, x0: tuple[float, float], step: float, t_end: float
 ) -> Trajectory:
     """RK4 trajectory of X' = AX from x0, one step matrix product per step."""
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     ts, xs, ys = _step_linear(
         lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h), x0, step, t_end
     )
@@ -307,8 +301,7 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
     overflow where e^{At} itself is small.
     """
-    if not math.isfinite(_real("time", t)):
-        raise InvalidInputError(f"time must be finite, got {t!r}")
+    t = _real("time", t)
     m = 0.5 * a.trace()
     d = m * m - a.det()
     x2 = d * t * t
@@ -327,7 +320,7 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
             c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
             s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
         e = 1.0 if x2 > 1e-8 else math.exp(m * t)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: cos(inf) when det A overflows
         raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
     entries = (
         e * (c + s * (a.a11 - m)),
@@ -358,16 +351,13 @@ def integrate_polar(
     Trajectory.theta, rebuilt from them, starts at theta0 reduced into
     (-pi, pi].
     """
-    _check_grid(step, t_end)
-    if not (r0 > 0.0 and math.isfinite(r0)):
-        raise InvalidInputError(f"r0 must be a positive real, got {r0}")
-    if not math.isfinite(theta0):
-        raise InvalidInputError(f"theta0 must be finite, got {theta0!r}")
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
+    r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
     m_r, m_t, p = rt.m_r, rt.m_t, rt.p
     phase = rt.theta_r.value if rt.theta_r is not None else 0.0
     sin = math.sin
     n_full, rem = _grid(step, t_end)
-    th = float(theta0)
+    th = theta0
     ths = [th]
     append = ths.append
     for h, n in ((step, n_full), (rem, 1 if rem else 0)):
@@ -404,7 +394,7 @@ def integrate_polar(
         u = v + 2.0 * a - 2.0 * b * np.sin(u)
         g4 = (1.0 + h * g3) * (m_r + p * np.cos(u))
         f = 1.0 + h / 6.0 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        r = float(r0) * np.cumprod(np.append(1.0, f))
+        r = r0 * np.cumprod(np.append(1.0, f))
         xs, ys = r * c, r * s
     _check_finite(float(r[-1]), float(theta[-1]), t_end)
     return _trajectory(_sample_times(n_full, step, rem, t_end), xs, ys, step, "rk4_polar")
@@ -427,9 +417,7 @@ class NonautConfig:
     k: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_real("rotation rate k", self.k)):
-            raise InvalidInputError(f"rotation rate k must be finite, got {self.k!r}")
-        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "k", _real("rotation rate k", self.k))
         _require_reactive_attractor(decompose(self.base), "nonautonomous rotation analysis")
 
 
@@ -455,9 +443,8 @@ def repulsion_window(a: Mat2) -> tuple[float, float]:
     Endpoints are marginal (zero co-rotating eigenvalue), not repelling.
     """
     rt = _require_reactive_attractor(decompose(a), "the repulsion window")
-    ortho = ortho_structure(rt)
-    assert isinstance(ortho, DistinctRealOrtho)
-    return (-ortho.mu1, -ortho.mu2)
+    p_t, _ = _reactive_arc(rt.m_r, rt.m_t, rt.p)
+    return (-(rt.m_t + p_t), -(rt.m_t - p_t))
 
 
 def _corotating_increment(a: Mat2, k: float, h: float):
@@ -499,6 +486,7 @@ def integrate_nonaut(
     is the same matrix; each sample is turned back by R(-k t_n), with
     the angle taken from t_n itself so rotation error never accumulates.
     """
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     k = cfg.k
     ts, z, w = _step_linear(
         lambda h: _corotating_increment(cfg.base, k, h), x0, step, t_end
@@ -568,9 +556,11 @@ def sweep_rotation_rates(
     and first growing grid rates on each side (grid endpoints when the
     growing block touches the edge of the grid).
     """
-    _check_grid(step, t_end)
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 sweep points, got {n}")
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
+    k_min, k_max = _real("k_min", k_min), _real("k_max", k_max)
+    import numbers
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise InvalidInputError(f"need at least 2 sweep points, got {n!r}")
     if not (k_min < k_max):
         raise InvalidInputError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     window = repulsion_window(a)  # also validates the classification

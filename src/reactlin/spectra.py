@@ -195,6 +195,14 @@ def _ortho_case(m_r: float, m_t: float, p: float) -> tuple[type, float, float]:
     return DistinctRealOrtho, p_t, 0.5 * math.atan2(p_t, -m_r)
 
 
+def _reactive_arc(m_r: float, m_t: float, p: float) -> tuple[float, float]:
+    """p_T and the arc radius delta_R of a reactive arc with two distinct ends."""
+    case, p_t, delta_r = _ortho_case(m_r, m_t, p)
+    if case is not DistinctRealOrtho:
+        raise InapplicableError("reactive arc is degenerate within tolerance")
+    return p_t, delta_r
+
+
 def ortho_structure(rt: RTParams) -> OrthoStructure:
     """Classify the orthovectors; mirrors eigen_structure with m_R."""
     m_r, m_t = rt.m_r, rt.m_t

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Mat2, rotate_conjugate
+from .core import Mat2, _real, rotate_conjugate
 from .errors import InvalidInputError
 
 __all__ = [
@@ -36,12 +36,12 @@ def from_deltas(delta_r: float, delta_t: float, rho: float) -> Mat2:
               delta_t = 0 yields a defective repeated eigenvalue.
     rho     : reactivity (maximum of R), > 0.
     """
+    delta_r, delta_t = _real("delta_r", delta_r), _real("delta_t", delta_t)
     if not (0.0 < delta_r < math.pi / 2):
         raise InvalidInputError(f"delta_r must lie in (0, pi/2), got {delta_r}")
     if not (0.0 <= delta_t < math.pi / 2):
         raise InvalidInputError(f"delta_t must lie in [0, pi/2), got {delta_t}")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise InvalidInputError(f"rho must be a positive real, got {rho}")
+    rho = _real("rho", rho, positive=True)
     cr = math.cos(2.0 * delta_r)
     ct = math.cos(2.0 * delta_t)
     scale = rho / (1.0 - cr)
@@ -55,12 +55,12 @@ def attractor_with_eigenvalues(lambda1: float, lambda2: float, rho: float) -> Ma
     the spectrum while the amplitude p = rho - m_R absorbs any demanded
     reactivity, narrowing the eigenvector pair to compensate.
     """
+    lambda1, lambda2 = _real("lambda1", lambda1), _real("lambda2", lambda2)
     if not (lambda2 <= lambda1 < 0.0):
         raise InvalidInputError(
             f"need lambda2 <= lambda1 < 0, got ({lambda1}, {lambda2})"
         )
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise InvalidInputError(f"rho must be a positive real, got {rho}")
+    rho = _real("rho", rho, positive=True)
     m_r = 0.5 * (lambda1 + lambda2)
     p = rho - m_r
     delta_r = 0.5 * math.acos(-m_r / p)
@@ -86,10 +86,8 @@ def attractor_with_eigenvectors(
     in (0, |delta_t - pi/4|), the full range for which both eigenvalues
     stay negative.  The default is the midpoint of that interval.
     """
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise InvalidInputError("eigenline angles must be finite")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise InvalidInputError(f"rho must be a positive real, got {rho}")
+    theta1, theta2 = _real("theta1", theta1), _real("theta2", theta2)
+    rho = _real("rho", rho, positive=True)
     t1 = theta1 % math.pi
     t2 = theta2 % math.pi
     if t1 < t2:
@@ -102,9 +100,8 @@ def attractor_with_eigenvectors(
             "eigenlines are orthogonal; a reactive attractor cannot have them"
         )
     half_width = abs(delta_t - math.pi / 4)
-    if delta_r is None:
-        delta_r = 0.5 * half_width
-    elif not (0.0 < delta_r < half_width):
+    delta_r = 0.5 * half_width if delta_r is None else _real("delta_r", delta_r)
+    if not (0.0 < delta_r < half_width):
         raise InvalidInputError(
             f"delta_r must lie in (0, {half_width}), got {delta_r}"
         )

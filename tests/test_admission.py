@@ -1,0 +1,121 @@
+"""Every public scalar argument is admitted by one rule (core._real).
+
+Each argument is fed values that are not finite reals, and, where it
+must be positive, zero and a negative; each must raise InvalidInputError
+whose message names the argument.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from reactlin import (
+    AngleModPi,
+    InvalidInputError,
+    Mat2,
+    NonautConfig,
+    RTParams,
+    attractor_with_eigenvalues,
+    attractor_with_eigenvectors,
+    decompose,
+    default_step,
+    from_deltas,
+    integrate_linear,
+    integrate_nonaut,
+    integrate_polar,
+    matrix_exponential,
+    rho_max_numeric,
+    rotate_conjugate,
+    sweep_rotation_rates,
+)
+from conftest import A_SPIRAL, A_TRIANGULAR
+
+RT = decompose(A_SPIRAL)
+CFG = NonautConfig(A_SPIRAL, -3.0)
+
+# (function, label, positive, call): call(v) passes v as the argument
+# named label and valid values for all others.
+CASES = [
+    ("AngleModPi", "angle", False, lambda v: AngleModPi(v)),
+    ("Mat2", "matrix entry a11", False, lambda v: Mat2(v, 0.0, 0.0, 1.0)),
+    ("Mat2", "matrix entry a22", False, lambda v: Mat2(1.0, 0.0, 0.0, v)),
+    ("RTParams", "m_r", False, lambda v: RTParams(v, 1.0, 0.5, AngleModPi(0.3))),
+    ("RTParams", "m_t", False, lambda v: RTParams(1.0, v, 0.5, AngleModPi(0.3))),
+    ("RTParams", "p", False, lambda v: RTParams(1.0, 1.0, v, AngleModPi(0.3))),
+    ("rotate_conjugate", "rotation angle", False, lambda v: rotate_conjugate(A_TRIANGULAR, v)),
+    ("integrate_linear", "step", True,
+     lambda v: integrate_linear(A_TRIANGULAR, (1.0, 0.0), v, 1.0)),
+    ("integrate_linear", "t_end", True,
+     lambda v: integrate_linear(A_TRIANGULAR, (1.0, 0.0), 1e-3, v)),
+    ("integrate_linear", "x0[0]", False,
+     lambda v: integrate_linear(A_TRIANGULAR, (v, 0.0), 1e-3, 1.0)),
+    ("integrate_linear", "x0[1]", False,
+     lambda v: integrate_linear(A_TRIANGULAR, (1.0, v), 1e-3, 1.0)),
+    ("integrate_nonaut", "step", True, lambda v: integrate_nonaut(CFG, (1.0, 0.0), v, 1.0)),
+    ("integrate_nonaut", "t_end", True, lambda v: integrate_nonaut(CFG, (1.0, 0.0), 1e-3, v)),
+    ("integrate_nonaut", "x0[1]", False, lambda v: integrate_nonaut(CFG, (1.0, v), 1e-3, 1.0)),
+    ("integrate_polar", "step", True, lambda v: integrate_polar(RT, 1.0, 0.0, v, 1.0)),
+    ("integrate_polar", "t_end", True, lambda v: integrate_polar(RT, 1.0, 0.0, 1e-3, v)),
+    ("integrate_polar", "r0", True, lambda v: integrate_polar(RT, v, 0.0, 1e-3, 1.0)),
+    ("integrate_polar", "theta0", False, lambda v: integrate_polar(RT, 1.0, v, 1e-3, 1.0)),
+    ("matrix_exponential", "time", False, lambda v: matrix_exponential(A_TRIANGULAR, v)),
+    ("NonautConfig", "rotation rate k", False, lambda v: NonautConfig(A_SPIRAL, v)),
+    ("sweep_rotation_rates", "k_min", False, lambda v: sweep_rotation_rates(A_SPIRAL, v, 0.0, 5)),
+    ("sweep_rotation_rates", "k_max", False, lambda v: sweep_rotation_rates(A_SPIRAL, -8.0, v, 5)),
+    ("sweep_rotation_rates", "step", True,
+     lambda v: sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, 5, step=v)),
+    ("sweep_rotation_rates", "t_end", True,
+     lambda v: sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, 5, t_end=v)),
+    ("default_step", "base", True, lambda v: default_step(RT, v)),
+    ("rho_max_numeric", "step", True, lambda v: rho_max_numeric(A_TRIANGULAR, step=v)),
+    ("from_deltas", "delta_r", False, lambda v: from_deltas(v, 0.1, 1.0)),
+    ("from_deltas", "delta_t", False, lambda v: from_deltas(0.3, v, 1.0)),
+    ("from_deltas", "rho", True, lambda v: from_deltas(0.3, 0.1, v)),
+    ("attractor_with_eigenvalues", "lambda1", False,
+     lambda v: attractor_with_eigenvalues(v, -3.0, 1.0)),
+    ("attractor_with_eigenvalues", "lambda2", False,
+     lambda v: attractor_with_eigenvalues(-1.0, v, 1.0)),
+    ("attractor_with_eigenvalues", "rho", True,
+     lambda v: attractor_with_eigenvalues(-1.0, -3.0, v)),
+    ("attractor_with_eigenvectors", "theta1", False,
+     lambda v: attractor_with_eigenvectors(v, 0.1, 1.0)),
+    ("attractor_with_eigenvectors", "theta2", False,
+     lambda v: attractor_with_eigenvectors(0.6, v, 1.0)),
+    ("attractor_with_eigenvectors", "rho", True,
+     lambda v: attractor_with_eigenvectors(0.6, 0.1, v)),
+    ("attractor_with_eigenvectors", "delta_r", False,
+     lambda v: attractor_with_eigenvectors(0.6, 0.1, 1.0, delta_r=v)),
+]
+
+# None selects the documented default of these arguments.
+NONE_IS_THE_DEFAULT = {("rho_max_numeric", "step"), ("attractor_with_eigenvectors", "delta_r")}
+
+
+def expected_message(label, bad):
+    if isinstance(bad, str) or bad is None:
+        return f"{label}={bad!r} is not a real number"
+    if isinstance(bad, (int, Fraction)) and abs(bad) > 10**308:
+        return f"{label} is too large for a float"
+    if not math.isfinite(bad):
+        return f"{label}={bad!r} is not finite"
+    return f"{label}={bad!r} is not positive"
+
+
+@pytest.mark.parametrize("name, label, positive, call", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_refuses_what_is_not_an_admissible_real(name, label, positive, call):
+    bads = ["x", 10**400, Fraction(10**400, 3), math.nan, math.inf, -math.inf]
+    if (name, label) not in NONE_IS_THE_DEFAULT:
+        bads.append(None)
+    for bad in bads + ([0.0, -1.0] if positive else []):
+        with pytest.raises(InvalidInputError) as exc:
+            call(bad)
+        assert str(exc.value) == expected_message(label, bad)
+
+
+def test_sweep_needs_an_integer_count():
+    for bad in ("x", None, 2.5, Fraction(5, 1), 1, True):
+        with pytest.raises(InvalidInputError) as exc:
+            sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, bad)
+        assert str(exc.value) == f"need at least 2 sweep points, got {bad!r}"

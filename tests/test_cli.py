@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -211,6 +212,12 @@ class TestTrajectory:
             worst = max(worst, math.hypot(x1 - want[0], x2 - want[1]) / math.hypot(*want))
         assert worst < 1e-9
 
+    def test_non_finite_start_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trajectory", "--x0", "inf", "0", "--", "-1", "8", "0", "-3"
+        )
+        assert code == 2 and out == "" and "x0" in err
+
     def test_nonaut_needs_reactive_attractor(self, capsys):
         code, _, err = run_cli(
             capsys, "trajectory", "--k", "1.0", "--", "-3", "0.1", "0", "-3"
@@ -245,10 +252,22 @@ class TestSweepK:
         assert all(line.endswith("decaying") for line in lines[1:])
 
     def test_inapplicable_matrix_exits_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep-k", "--k-min", "-8", "--k-max", "0", "1", "0", "0", "1"
-        )
-        assert code == 3 and "error:" in err
+        # the identity, and a reactive attractor whose arc ends tie (p = |m_R|)
+        tie = ["-0.17466438508949622", "-4.4353575266044", "5.5646424733956",
+               "-1.8253356149105038"]
+        for matrix in (["1", "0", "0", "1"], tie):
+            code, _, err = run_cli(
+                capsys, "sweep-k", "--k-min", "-8", "--k-max", "0", "--", *matrix
+            )
+            assert code == 3 and "error:" in err
+
+    def test_non_finite_rate_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            code, out, err = run_cli(
+                capsys, "sweep-k", "--k-min", "-8", "--k-max", "inf", "--", "0.7", "-4", "4", "-4.7"
+            )
+        assert code == 2 and out == "" and "k_max" in err
 
     def test_unrepresentable_norm_exits_4(self, capsys):
         # the criterion-9 spiral and grid times 2e4: no window is reported

@@ -52,8 +52,8 @@ class TestAngleModPi:
                              (None, "angle=None is not a real number"),
                              (10**400, "angle is too large for a float"),
                              (Fraction(-10**400, 3), "angle is too large for a float"),
-                             (math.inf, "angle must be finite, got inf"),
-                             (np.float64("nan"), "angle must be finite, got nan")):
+                             (math.inf, "angle=inf is not finite"),
+                             (np.float64("nan"), f"angle={np.float64('nan')!r} is not finite")):
             with pytest.raises(InvalidInputError) as exc:
                 AngleModPi(bad)
             assert str(exc.value) == message
@@ -276,7 +276,7 @@ class TestRotateConjugate:
             rotate_conjugate(A_TRIANGULAR, float("nan"))
         for bad, message in (("x", "rotation angle='x' is not a real number"),
                              (10**400, "rotation angle is too large for a float"),
-                             (-math.inf, "rotation angle must be finite, got -inf")):
+                             (-math.inf, "rotation angle=-inf is not finite")):
             with pytest.raises(InvalidInputError) as exc:
                 rotate_conjugate(A_TRIANGULAR, bad)
             assert str(exc.value) == message

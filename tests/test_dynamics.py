@@ -5,12 +5,14 @@ import pytest
 import scipy.linalg
 
 from reactlin import (
+    AngleModPi,
     InapplicableError,
     InvalidInputError,
     Mat2,
     NonautConfig,
     NumericFailureError,
     QUARTER_TURN,
+    RTParams,
     corotating_matrix,
     decompose,
     default_step,
@@ -21,6 +23,8 @@ from reactlin import (
     log_norm_slope,
     matrix_exponential,
     nonaut_matrix,
+    ortho_structure,
+    reconstruct,
     repulsion_window,
     rotate_conjugate,
     sweep_rotation_rates,
@@ -36,6 +40,7 @@ from conftest import (
     mat_close,
     max_speed,
     random_mat2,
+    random_reactive_attractor,
 )
 
 SQRT13 = math.sqrt(13.0)
@@ -203,15 +208,17 @@ class TestMatrixExponential:
         assert mat_close(e, Mat2(f, 1.7 * f, 0.0, f), 1e-12 * f)
 
     def test_overflow_is_numeric_failure(self):
-        # e^800 is beyond double range, on the series and the cosh routes
-        for a in (Mat2(800.0, 0.0, 0.0, 800.0), Mat2(800.0, 0.0, 0.0, -800.0)):
+        # e^800 is beyond double range, on the series and the cosh routes;
+        # the last det A overflows, so the cos route sees w = inf
+        for a in (Mat2(800.0, 0.0, 0.0, 800.0), Mat2(800.0, 0.0, 0.0, -800.0),
+                  Mat2(0.3617859540231656, -2.0, 1e308, 0.30986385989495724)):
             with pytest.raises(NumericFailureError):
                 matrix_exponential(a, 1.0)
 
     def test_names_the_time_it_cannot_use(self):
         for bad, message in (("x", "time='x' is not a real number"),
                              (10**400, "time is too large for a float"),
-                             (math.nan, "time must be finite, got nan")):
+                             (math.nan, "time=nan is not finite")):
             with pytest.raises(InvalidInputError) as exc:
                 matrix_exponential(A_TRIANGULAR, bad)
             assert str(exc.value) == message
@@ -439,7 +446,7 @@ class TestNonautMatrices:
     def test_config_names_the_rate_it_cannot_use(self):
         for bad, message in (("x", "rotation rate k='x' is not a real number"),
                              (10**400, "rotation rate k is too large for a float"),
-                             (math.inf, "rotation rate k must be finite, got inf")):
+                             (math.inf, "rotation rate k=inf is not finite")):
             with pytest.raises(InvalidInputError) as exc:
                 NonautConfig(A_SPIRAL, bad)
             assert str(exc.value) == message
@@ -474,9 +481,17 @@ class TestRepulsionWindow:
             eigs = np.linalg.eigvals(c.as_array())
             assert eigs.real.max() < 0
 
+    def test_equals_the_negated_orthovalues(self, rng):
+        for a in [A_SPIRAL, A_TRIANGULAR] + [random_reactive_attractor(rng) for _ in range(50)]:
+            ortho = ortho_structure(decompose(a))
+            assert repulsion_window(a) == (-ortho.mu1, -ortho.mu2)
+
     def test_inapplicable(self):
-        with pytest.raises(InapplicableError):
-            repulsion_window(Mat2(-3.0, 0.1, 0.0, -3.0))
+        # the second is a reactive attractor whose arc ends tie (p = |m_R|)
+        tie = reconstruct(RTParams(-1.0, 5.0, 1.0 + 1e-12, AngleModPi(0.3)))
+        for a in (Mat2(-3.0, 0.1, 0.0, -3.0), tie):
+            with pytest.raises(InapplicableError):
+                repulsion_window(a)
 
 
 class TestIntegrateNonaut:
