@@ -78,6 +78,8 @@ def rho_max_from_eigen_ortho(
     lambda1: float, lambda2: float, mu1: float, mu2: float
 ) -> float:
     """Amplification from eigenvalues and orthovalues (mu2 > 0 required)."""
+    lambda1, lambda2 = _real("lambda1", lambda1), _real("lambda2", lambda2)
+    mu1, mu2 = _real("mu1", mu1), _real("mu2", mu2)
     base = (lambda1 * mu2 + lambda2 * mu1) / (lambda1 * mu1 + lambda2 * mu2)
     expo = (lambda1 + lambda2) / (lambda1 - lambda2)
     return math.sqrt(base**expo * (mu1 / mu2))
@@ -85,12 +87,15 @@ def rho_max_from_eigen_ortho(
 
 def rho_max_from_midlines(m_r: float, m_t: float, p_r: float, p_t: float) -> float:
     """Amplification from the midlines and the two separation radii."""
+    m_r, m_t = _real("m_r", m_r), _real("m_t", m_t)
+    p_r, p_t = _real("p_r", p_r), _real("p_t", p_t)
     base = (m_r * m_t - p_r * p_t) / (m_r * m_t + p_r * p_t)
     return math.sqrt(base ** (m_r / p_r) * (m_t + p_t) / (m_t - p_t))
 
 
 def rho_max_from_separations(delta_r: float, delta_t: float) -> float:
     """Amplification from the reactive and eigenline arc radii alone."""
+    delta_r, delta_t = _real("delta_r", delta_r), _real("delta_t", delta_t)
     c2r, s2r = math.cos(2 * delta_r), math.sin(2 * delta_r)
     c2t, s2t = math.cos(2 * delta_t), math.sin(2 * delta_t)
     base = math.cos(2 * delta_r + 2 * delta_t) / math.cos(2 * delta_r - 2 * delta_t)
@@ -154,8 +159,9 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     that brings p into [1/2, 1)), so no product of rates overflows and
     A and 2^k A give the same bits.  The definition certifies the result:
     |e^{A t_max}|_2 must equal rho_max = sup_t |e^{At}|_2 to 1e-9
-    relative.  That failing, or t_max leaving the float range, raises
-    NumericFailureError.
+    relative.  That failing, t_max leaving the float range, or det A <= 0
+    (a matrix classified a reactive attractor within the eigenvalue-vs-0
+    tie, whose t_max is infinite) raises NumericFailureError.
     """
     rt, reflected = _reactive_rt(a)
     e = math.frexp(rt.p)[1]
@@ -167,6 +173,8 @@ def rho_max_closed(a: Mat2) -> AmplificationResult:
     (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
         x.as_integer_ratio() for x in (a.a11, a.a12, a.a21, a.a22))
     det = (n1 * n4 * d2 * d3 - n2 * n3 * d1 * d4) / (d1 * d2 * d3 * d4)
+    if not det > 0.0:  # classified reactive within the eigenvalue-vs-0 tie
+        raise NumericFailureError("det A <= 0, so t_max is infinite")
     # s = p_R^2 taken signed: z > 0 for real eigenvalues, z < 0 for a spiral.
     # T > 0 across the arc (m_R < 0 < m_T), so F is smooth on the connected
     # set det A > 0, and for z < 0 it is the principal atan: the spiral

@@ -107,7 +107,7 @@ def _real(label: str, v, positive: bool = False) -> float:
 
 def angle_distance_mod_pi(a: float, b: float) -> float:
     """Distance between two angles identified modulo pi, in [0, pi/2]."""
-    d = _norm_mod_pi(a - b)
+    d = _norm_mod_pi(_real("a", a) - _real("b", b))
     return min(d, math.pi - d)
 
 
@@ -201,6 +201,7 @@ class Mat2:
         )
 
     def scaled(self, c: float) -> "Mat2":
+        c = _real("scale factor", c)
         return Mat2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
 
     def max_abs(self) -> float:
@@ -296,29 +297,38 @@ def reconstruct(rt: RTParams) -> Mat2:
     """
     half_pi = math.pi / 2
     return Mat2(
-        eval_radial(rt, 0.0),
-        -eval_tangential(rt, half_pi),
-        eval_tangential(rt, 0.0),
-        eval_radial(rt, half_pi),
+        _radial(rt, 0.0),
+        -_tangential(rt, half_pi),
+        _tangential(rt, 0.0),
+        _radial(rt, half_pi),
     )
 
 
-def eval_radial(rt: RTParams, theta: float) -> float:
-    """Radial velocity R(theta) on the unit circle."""
+def _radial(rt: RTParams, theta: float) -> float:
     if rt.theta_r is None:
         return rt.m_r
     return rt.m_r + rt.p * math.cos(2.0 * (theta - rt.theta_r.value))
 
 
-def eval_tangential(rt: RTParams, theta: float) -> float:
-    """Angular velocity T(theta) on the unit circle."""
+def _tangential(rt: RTParams, theta: float) -> float:
     if rt.theta_r is None:
         return rt.m_t
     return rt.m_t - rt.p * math.sin(2.0 * (theta - rt.theta_r.value))
 
 
+def eval_radial(rt: RTParams, theta: float) -> float:
+    """Radial velocity R(theta) on the unit circle."""
+    return _radial(rt, _real("theta", theta))
+
+
+def eval_tangential(rt: RTParams, theta: float) -> float:
+    """Angular velocity T(theta) on the unit circle."""
+    return _tangential(rt, _real("theta", theta))
+
+
 def rotation_matrix(gamma: float) -> Mat2:
     """Counter-clockwise rotation by gamma radians."""
+    gamma = _real("rotation angle", gamma)
     c, s = math.cos(gamma), math.sin(gamma)
     return Mat2(c, -s, s, c)
 

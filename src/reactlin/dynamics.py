@@ -7,13 +7,16 @@ Cartesian integrators precompute its first 256 powers, step only every
 256th state in sequence and fill the states between with one batched
 product, x_{b+j} = x_b + (P^j - I) x_b; a closed-form matrix exponential
 serves as their independent oracle.  The polar route integrates
-dr/dt = r R(theta), dtheta/dt = T(theta): only the angle flow is
-sequential, so a scalar loop steps theta alone.  With
-T(theta) = m_T - p sin 2(theta - theta_R), each RK4 stage's sine
-argument is v = 2(theta - theta_R) shifted by h k = h m_T - h p sin(.),
-so a step is four sines and 17 float operations.  Each RK4 step
-multiplies r by a factor that depends only on the step's start angle and
-length, so the radius is one cumulative product over all steps.
+dr/dt = r R(theta), dtheta/dt = T(theta) by RK4.  Only the angle is
+sequential: its RK4 steps form a recurrence theta_{n+1} = Phi(theta_n),
+and each RK4 step multiplies r by a factor that depends only on the
+step's start angle and length, so the radius is one cumulative product
+over all steps.  The recurrence is solved for the whole sequence at once
+by Newton's method (each pass a linear recurrence, solved in blocks like
+the step-matrix powers), from the angles of the Cartesian RK4 run, and
+the result is accepted only with a bound showing it is the recurrence's
+own solution to below the rounding of theta; otherwise, as on coarse
+steps, a scalar loop steps theta alone.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -44,6 +47,7 @@ from .core import (
     RTParams,
     _real,
     decompose,
+    reconstruct,
     rotate_conjugate,
 )
 from .errors import InvalidInputError, NumericFailureError
@@ -333,30 +337,21 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
     return Mat2(*entries)
 
 
-def integrate_polar(
-    rt: RTParams, r0: float, theta0: float, step: float, t_end: float
-) -> Trajectory:
-    """RK4 on the decoupled polar system dr = r R(theta), dtheta = T(theta).
+# Most Newton passes the whole-sequence angle solve of integrate_polar
+# takes before it steps the angle one step at a time instead.
+_NEWTON_PASSES = 3
 
-    The angle is stepped alone, four sines per step: stage i's sine
-    argument is v = 2 (theta - theta_R) shifted by h k = a - b s (by
-    2 h k for stage 4), where a = h m_T, b = h p and s is the previous
-    stage's sine.  theta itself is the loop state, stepped from theta0
-    as given, unnormalized.  One RK4 step then multiplies r by
-    1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is stage i's radial slope
-    per unit radius, a function of the step's start angle and length
-    only; so all the factors, their cumulative product and the samples
-    are array expressions over the angle sequence.
-    Samples are returned in Cartesian form (r cos theta, r sin theta), so
-    Trajectory.theta, rebuilt from them, starts at theta0 reduced into
-    (-pi, pi].
+
+def _step_angles(theta0: float, m_t: float, p: float, phase: float,
+                 step: float, n_full: int, rem: float) -> list[float]:
+    """The RK4 angle recurrence stepped one step at a time, in floats.
+
+    Stage i's sine argument is v = 2 (theta - phase) shifted by h k =
+    a - b s (by 2 h k for stage 4), where a = h m_T, b = h p and s is the
+    previous stage's sine, so a step is four sines and 17 float
+    operations.
     """
-    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
-    r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
-    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
-    phase = rt.theta_r.value if rt.theta_r is not None else 0.0
     sin = math.sin
-    n_full, rem = _grid(step, t_end)
     th = theta0
     ths = [th]
     append = ths.append
@@ -372,30 +367,223 @@ def integrate_polar(
             s4 = sin(v + a2 - b2 * s3)
             th = th + (a - b6 * (s1 + s4 + 2.0 * (s2 + s3)))
             append(th)
+    return ths
 
+
+def _angle_stages(theta: np.ndarray, a, b, phase: float):
+    """The RK4 angle map Phi at every theta_n of theta[:-1] at once.
+
+    Returns the increments Phi(theta_n) - theta_n, the derivatives
+    J_n = Phi'(theta_n), and per stage i the cosine of its argument u_i
+    with w_i = sin(u_i) du_i/dtheta, so that cos u_i at theta_n + e_n is
+    cos u_i - w_i e_n to first order.  The arguments are _step_angles'
+    shifted ones, and J follows them by the chain rule: with
+    d_i = du_i/dtheta, d_1 = 2, d_{2,3} = 2 - b cos(u_{1,2}) d_{1,2},
+    d_4 = 2 - 2 b cos(u_3) d_3, and J = 1 - b/6 sum_i k_i cos(u_i) d_i,
+    k = (1, 2, 2, 1).
+    """
     import numpy as np
-    theta = np.fromiter(ths, float, len(ths))
+    v = theta[:-1] - phase
+    v *= 2.0
+    s1, c1 = np.sin(v), np.cos(v)
+    v += a
+    u = v - b * s1
+    s2, c2 = np.sin(u), np.cos(u)
+    u = v - b * s2
+    s3, c3 = np.sin(u), np.cos(u)
+    u = (v + a) - (2.0 * b) * s3
+    s4, c4 = np.sin(u), np.cos(u)
+    b6 = b / 6.0
+    inc = a - b6 * ((s1 + s4) + 2.0 * (s2 + s3))
+    d2 = 2.0 - (2.0 * b) * c1
+    p2 = c2 * d2
+    d3 = 2.0 - b * p2
+    p3 = c3 * d3
+    d4 = 2.0 - (2.0 * b) * p3
+    jac = 1.0 - b6 * (2.0 * (c1 + p2 + p3) + c4 * d4)
+    s1 *= 2.0
+    s2 *= d2
+    s3 *= d3
+    s4 *= d4
+    return inc, jac, ((c1, s1), (c2, s2), (c3, s3), (c4, s4))
+
+
+def _angle_curvature_bound(beta: float) -> float:
+    """Upper bound on |Phi''| for the RK4 angle map of a step with h p <= beta.
+
+    With D_i >= |du_i/dtheta| and E_i >= |d^2u_i/dtheta^2| (D_1 = 2,
+    E_1 = 0; D_{2,3} = 2 + beta D_{1,2}, E_{2,3} = beta (D_{1,2}^2 + E_{1,2});
+    D_4 = 2 + 2 beta D_3, E_4 = 2 beta (D_3^2 + E_3)), Phi'' =
+    -(b/6) sum_i k_i (cos u_i u_i'' - sin u_i u_i'^2), k = (1, 2, 2, 1),
+    is at most (beta/6) sum_i k_i (E_i + D_i^2); about 4 beta for small
+    beta.
+    """
+    d1, e1 = 2.0, 0.0
+    d2, e2 = 2.0 + beta * d1, beta * (d1 * d1 + e1)
+    d3, e3 = 2.0 + beta * d2, beta * (d2 * d2 + e2)
+    d4, e4 = 2.0 + 2.0 * beta * d3, 2.0 * beta * (d3 * d3 + e3)
+    return beta / 6.0 * (d1 * d1 + e1 + 2.0 * (d2 * d2 + e2 + d3 * d3 + e3) + d4 * d4 + e4)
+
+
+def _linear_scan(jac: np.ndarray, res: np.ndarray):
+    """Solve e_0 = 0, e_{n+1} = J_n e_n + r_n for n = 0..len(jac) - 1.
+
+    In blocks of _BLOCK steps, as _step_linear: within a block,
+    e_{s+i+1} = Q_i (e_s + sum_{l <= i} r_l / Q_l), with Q the cumulative
+    product of the block's J, and only the block starts e_s step in
+    sequence.  Returns e, max|e| and the log of the largest product of
+    consecutive J (every J positive): log Q offset by the earlier blocks
+    is the running sum L of log J, and the largest product is
+    exp(max_j (L_j - min(0, min_{k <= j} L_k))).  Returns None if a Q
+    underflows or overflows, which ends as inf or nan in e.
+    """
+    import numpy as np
+    n = len(jac)
+    m = min(_BLOCK, n)
+    nb = -(-n // m)
+    q = np.ones((nb, m))
+    q.ravel()[:n] = jac
+    z = np.zeros((nb, m))
+    z.ravel()[:n] = res
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        np.cumprod(q, axis=1, out=q)
+        z /= q
+        np.cumsum(z, axis=1, out=z)
+        z *= q
+        e_s, starts = 0.0, []
+        for q_end, z_end in zip(q[:, -1].tolist(), z[:, -1].tolist()):
+            starts.append(e_s)
+            e_s = q_end * e_s + z_end
+        z += q * np.array(starts)[:, None]
+    e = np.empty(n + 1)
+    e[0] = 0.0
+    e[1:] = z.ravel()[:n]
+    e_max = max(float(e.max()), -float(e.min()))
+    if not math.isfinite(e_max):
+        return None
+    np.log(q, out=q)
+    q[1:] += np.cumsum(q[:-1, -1])[:, None]  # the running sum L of log J
+    low = np.minimum.accumulate(q.ravel())
+    np.minimum(low, 0.0, out=low)
+    return e, e_max, max(0.0, float((q.ravel() - low).max()))
+
+
+def _polar_guess(rt: RTParams, theta0: float, step: float, t_end: float):
+    """Angles of Cartesian RK4 of the matrix with curves rt, started from
+    (cos theta0, sin theta0) and accumulated from theta0 by the turn of
+    each step, atan2(cross, dot); None if that matrix or run overflows."""
+    try:
+        a = reconstruct(rt)
+        _, x, y = _step_linear(lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h),
+                               (math.cos(theta0), math.sin(theta0)), step, t_end)
+    except (InvalidInputError, NumericFailureError):
+        return None
+    import numpy as np
+    guess = np.empty(len(x))
+    guess[0] = 0.0
+    # a cross or dot product that overflows ends as nan in the last angle
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0, y0, x1, y1 = x[:-1], y[:-1], x[1:], y[1:]
+        np.cumsum(np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1), out=guess[1:])
+    guess += theta0
+    return guess if math.isfinite(guess[-1]) else None
+
+
+def _solve_angles(guess: np.ndarray, a, b, phase: float, beta: float):
+    """Whole-sequence solve of theta_{n+1} = Phi(theta_n), theta_0 = guess[0].
+
+    Newton's method over the sequence: with residuals r_n =
+    Phi(theta_n) - theta_{n+1} and J_n = Phi'(theta_n) at the current
+    iterate, the correction solves e_{n+1} = J_n e_n + r_n, e_0 = 0
+    (_linear_scan).  The corrected sequence then differs from the
+    recurrence's own solution by d, with d_0 = 0 and
+    d_{n+1} = J_n d_n + Phi''(xi_n) (e_n + d_n)^2 / 2, so by at most the
+    Newton remainder n max|Phi''| G max|e|^2 (beta bounds h p for
+    max|Phi''|, G is the largest product of consecutive J) while that is
+    at most 0.4 max|e|.  A pass is accepted when the remainder is also
+    below 2^-54 max(1, max|theta|), below the rounding of theta itself;
+    else it repeats, at most _NEWTON_PASSES times.  Returns the
+    corrected angles, their last correction e and the stage terms of
+    the last pass (_angle_stages), or None if a J is not positive, the
+    correction is not finite or no pass is accepted.
+    """
+    theta = guess
+    scale = (len(theta) - 1) * _angle_curvature_bound(beta)
+    for _ in range(_NEWTON_PASSES):
+        inc, jac, stages = _angle_stages(theta, a, b, phase)
+        if not jac.min() > 0.0:  # nan included
+            return None
+        inc += theta[:-1]
+        inc -= theta[1:]  # the residual r
+        scan = _linear_scan(jac, inc)
+        if scan is None:
+            return None
+        e, e_max, log_g = scan
+        theta = theta + e
+        remainder = scale * e_max * e_max * math.exp(min(log_g, 709.0))
+        limit = 2.0 ** -54 * max(1.0, float(theta.max()), -float(theta.min()))
+        if remainder <= min(limit, 0.4 * e_max):
+            return theta, e, stages
+    return None
+
+
+def integrate_polar(
+    rt: RTParams, r0: float, theta0: float, step: float, t_end: float
+) -> Trajectory:
+    """RK4 on the decoupled polar system dr = r R(theta), dtheta = T(theta).
+
+    The angle alone obeys a recurrence, theta_{n+1} = Phi(theta_n), Phi
+    one RK4 step of dtheta = T(theta) (_step_angles), from theta0 as
+    given, unnormalized.  It is solved for the whole sequence at once by
+    Newton's method (_solve_angles), started from the angles of the
+    Cartesian RK4 run of the same system, and accepted only with a
+    certificate that it is the recurrence's own solution to below the
+    rounding of theta.  The start sets only the speed, so the result is
+    still independent of integrate_linear.  Where no pass is certified
+    (coarse steps) the angle is stepped one step at a time.  One RK4
+    step multiplies r by 1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is
+    stage i's radial slope per unit radius, (m_R + p cos u_i) times the
+    stage's radius over r, a function of the step's start angle and
+    length only: the stage cosines come from the angle solve, moved to
+    first order onto the corrected angles, and r is the cumulative
+    product of the factors.  Samples are returned in Cartesian form
+    (r cos theta, r sin theta), so Trajectory.theta, rebuilt from them,
+    starts at theta0 reduced into (-pi, pi].
+    """
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
+    r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
+    m_r, m_t, p = rt.m_r, rt.m_t, rt.p
+    phase = rt.theta_r.value if rt.theta_r is not None else 0.0
+    n_full, rem = _grid(step, t_end)
+    import numpy as np
     h = np.append(np.full(n_full, step), rem) if rem else step
     a, b = h * m_t, h * p
-    # The stages again, for all steps at once, with the same shifts; stage
-    # 1 takes the sine and cosine of v = 2 (theta - phase) from the
-    # samples' own, by double angles.  An overflow ends as inf or nan in
-    # the last radius, checked below.
+    # An angle that overflows ends as nan in J, so that no Newton pass is
+    # accepted, and then as a ValueError from math.sin in the loop; a
+    # radius that overflows ends as inf or nan in the last one, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        c, s = np.cos(theta), np.sin(theta)
-        c2, s2 = ((c - s) * (c + s))[:-1], (2.0 * c * s)[:-1]
-        c2p, s2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
-        v = 2.0 * (theta[:-1] - phase)
-        g1 = m_r + p * (c2 * c2p + s2 * s2p)
-        u = v + a - b * (s2 * c2p - c2 * s2p)
-        g2 = (1.0 + 0.5 * h * g1) * (m_r + p * np.cos(u))
-        u = v + a - b * np.sin(u)
-        g3 = (1.0 + 0.5 * h * g2) * (m_r + p * np.cos(u))
-        u = v + 2.0 * a - 2.0 * b * np.sin(u)
-        g4 = (1.0 + h * g3) * (m_r + p * np.cos(u))
+        guess = _polar_guess(rt, theta0, step, t_end)
+        solved = None if guess is None else _solve_angles(guess, a, b, phase, step * p)
+        if solved is None:
+            try:
+                ths = _step_angles(theta0, m_t, p, phase, step, n_full, rem)
+            except ValueError:
+                raise NumericFailureError(f"angle overflowed before t = {t_end!r}") from None
+            theta = np.fromiter(ths, float, len(ths))
+            stages = _angle_stages(theta, a, b, phase)[2]
+        else:
+            theta, e, stages = solved
+            for c, w in stages:
+                w *= e[:-1]
+                c -= w
+        (c1, _), (c2, _), (c3, _), (c4, _) = stages
+        g1 = m_r + p * c1
+        g2 = (1.0 + 0.5 * h * g1) * (m_r + p * c2)
+        g3 = (1.0 + 0.5 * h * g2) * (m_r + p * c3)
+        g4 = (1.0 + h * g3) * (m_r + p * c4)
         f = 1.0 + h / 6.0 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        r = r0 * np.cumprod(np.append(1.0, f))
-        xs, ys = r * c, r * s
+        r = np.cumprod(np.append(r0, f))  # r0 first, so a long decay from a large r0 keeps it
+        xs, ys = r * np.cos(theta), r * np.sin(theta)
     _check_finite(float(r[-1]), float(theta[-1]), t_end)
     return _trajectory(_sample_times(n_full, step, rem, t_end), xs, ys, step, "rk4_polar")
 
@@ -423,7 +611,7 @@ class NonautConfig:
 
 def nonaut_matrix(cfg: NonautConfig, t: float) -> Mat2:
     """Frozen coefficient matrix B_k(t)."""
-    return rotate_conjugate(cfg.base, cfg.k * t)
+    return rotate_conjugate(cfg.base, cfg.k * _real("t", t))
 
 
 def corotating_matrix(cfg: NonautConfig) -> Mat2:
@@ -563,6 +751,7 @@ def sweep_rotation_rates(
         raise InvalidInputError(f"need at least 2 sweep points, got {n!r}")
     if not (k_min < k_max):
         raise InvalidInputError(f"need k_min < k_max, got [{k_min}, {k_max}]")
+    _real("k_max - k_min", k_max - k_min)  # np.linspace needs the width
     window = repulsion_window(a)  # also validates the classification
 
     import numpy as np

@@ -16,17 +16,25 @@ from reactlin import (
     Mat2,
     NonautConfig,
     RTParams,
+    angle_distance_mod_pi,
     attractor_with_eigenvalues,
     attractor_with_eigenvectors,
     decompose,
     default_step,
+    eval_radial,
+    eval_tangential,
     from_deltas,
     integrate_linear,
     integrate_nonaut,
     integrate_polar,
     matrix_exponential,
+    nonaut_matrix,
+    rho_max_from_eigen_ortho,
+    rho_max_from_midlines,
+    rho_max_from_separations,
     rho_max_numeric,
     rotate_conjugate,
+    rotation_matrix,
     sweep_rotation_rates,
 )
 from conftest import A_SPIRAL, A_TRIANGULAR
@@ -43,7 +51,13 @@ CASES = [
     ("RTParams", "m_r", False, lambda v: RTParams(v, 1.0, 0.5, AngleModPi(0.3))),
     ("RTParams", "m_t", False, lambda v: RTParams(1.0, v, 0.5, AngleModPi(0.3))),
     ("RTParams", "p", False, lambda v: RTParams(1.0, 1.0, v, AngleModPi(0.3))),
+    ("Mat2.scaled", "scale factor", False, lambda v: A_TRIANGULAR.scaled(v)),
     ("rotate_conjugate", "rotation angle", False, lambda v: rotate_conjugate(A_TRIANGULAR, v)),
+    ("rotation_matrix", "rotation angle", False, lambda v: rotation_matrix(v)),
+    ("eval_radial", "theta", False, lambda v: eval_radial(RT, v)),
+    ("eval_tangential", "theta", False, lambda v: eval_tangential(RT, v)),
+    ("angle_distance_mod_pi", "a", False, lambda v: angle_distance_mod_pi(v, 0.3)),
+    ("angle_distance_mod_pi", "b", False, lambda v: angle_distance_mod_pi(0.3, v)),
     ("integrate_linear", "step", True,
      lambda v: integrate_linear(A_TRIANGULAR, (1.0, 0.0), v, 1.0)),
     ("integrate_linear", "t_end", True,
@@ -61,6 +75,7 @@ CASES = [
     ("integrate_polar", "theta0", False, lambda v: integrate_polar(RT, 1.0, v, 1e-3, 1.0)),
     ("matrix_exponential", "time", False, lambda v: matrix_exponential(A_TRIANGULAR, v)),
     ("NonautConfig", "rotation rate k", False, lambda v: NonautConfig(A_SPIRAL, v)),
+    ("nonaut_matrix", "t", False, lambda v: nonaut_matrix(CFG, v)),
     ("sweep_rotation_rates", "k_min", False, lambda v: sweep_rotation_rates(A_SPIRAL, v, 0.0, 5)),
     ("sweep_rotation_rates", "k_max", False, lambda v: sweep_rotation_rates(A_SPIRAL, -8.0, v, 5)),
     ("sweep_rotation_rates", "step", True,
@@ -69,6 +84,20 @@ CASES = [
      lambda v: sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, 5, t_end=v)),
     ("default_step", "base", True, lambda v: default_step(RT, v)),
     ("rho_max_numeric", "step", True, lambda v: rho_max_numeric(A_TRIANGULAR, step=v)),
+    ("rho_max_from_eigen_ortho", "lambda1", False,
+     lambda v: rho_max_from_eigen_ortho(v, -3.0, 3.1, 0.1)),
+    ("rho_max_from_eigen_ortho", "lambda2", False,
+     lambda v: rho_max_from_eigen_ortho(-1.0, v, 3.1, 0.1)),
+    ("rho_max_from_eigen_ortho", "mu1", False,
+     lambda v: rho_max_from_eigen_ortho(-1.0, -3.0, v, 0.1)),
+    ("rho_max_from_eigen_ortho", "mu2", False,
+     lambda v: rho_max_from_eigen_ortho(-1.0, -3.0, 3.1, v)),
+    ("rho_max_from_midlines", "m_r", False, lambda v: rho_max_from_midlines(v, 3.0, 2.0, 1.0)),
+    ("rho_max_from_midlines", "m_t", False, lambda v: rho_max_from_midlines(-2.0, v, 2.0, 1.0)),
+    ("rho_max_from_midlines", "p_r", False, lambda v: rho_max_from_midlines(-2.0, 3.0, v, 1.0)),
+    ("rho_max_from_midlines", "p_t", False, lambda v: rho_max_from_midlines(-2.0, 3.0, 2.0, v)),
+    ("rho_max_from_separations", "delta_r", False, lambda v: rho_max_from_separations(v, 0.1)),
+    ("rho_max_from_separations", "delta_t", False, lambda v: rho_max_from_separations(0.3, v)),
     ("from_deltas", "delta_r", False, lambda v: from_deltas(v, 0.1, 1.0)),
     ("from_deltas", "delta_t", False, lambda v: from_deltas(0.3, v, 1.0)),
     ("from_deltas", "rho", True, lambda v: from_deltas(0.3, 0.1, v)),
@@ -119,3 +148,10 @@ def test_sweep_needs_an_integer_count():
         with pytest.raises(InvalidInputError) as exc:
             sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, bad)
         assert str(exc.value) == f"need at least 2 sweep points, got {bad!r}"
+
+
+def test_sweep_width_must_be_a_float():
+    # each end is finite, but the width np.linspace needs overflows
+    with pytest.raises(InvalidInputError) as exc:
+        sweep_rotation_rates(A_SPIRAL, -1e308, 1e308, 5)
+    assert str(exc.value) == "k_max - k_min=inf is not finite"

@@ -95,6 +95,20 @@ class TestClosedForm:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["amplification"]["rho_max"] == res.rho_max
 
+    @pytest.mark.parametrize("a", [
+        Mat2(-1e-6, 0.0, -11.0, 0.0),  # det A = 0
+        Mat2(-7.477253809488413e-06, -0.0, -11.242148894154873, 2.30057536606057e-16),  # det < 0
+    ])
+    def test_non_positive_det_is_numeric_failure(self, a, capsys):
+        # classified reactive within the eigenvalue-vs-0 tie, but t_max is
+        # infinite: a numeric failure (exit 4), not a traceback (exit 1)
+        assert transient_summary(decompose(a)).classification is Classification.REACTIVE_ATTRACTOR
+        with pytest.raises(NumericFailureError, match="t_max is infinite"):
+            rho_max_closed(a)
+        code = main(["analyze", "--", *(repr(x) for x in (a.a11, a.a12, a.a21, a.a22))])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == "" and "t_max is infinite" in err
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         log_gap=st.floats(min_value=-12.0, max_value=-5.0),

@@ -30,7 +30,19 @@ from reactlin import (
     sweep_rotation_rates,
     transient_summary,
 )
-from reactlin.dynamics import _BLOCK, _corotating_increment, _rk4_increment, _step_linear
+from reactlin import dynamics
+from reactlin.dynamics import (
+    _BLOCK,
+    _angle_curvature_bound,
+    _angle_stages,
+    _corotating_increment,
+    _grid,
+    _linear_scan,
+    _polar_guess,
+    _rk4_increment,
+    _solve_angles,
+    _step_linear,
+)
 from reactlin.spectra import ComplexPairEigen
 from conftest import (
     A_SADDLE,
@@ -401,6 +413,139 @@ class TestIntegratePolar:
             integrate_polar(rt, 0.0, 0.0, 1e-3, 1.0)
         with pytest.raises(InvalidInputError):
             integrate_polar(rt, 1.0, float("nan"), 1e-3, 1.0)
+
+
+class TestPolarAngleSolve:
+    """The whole-sequence Newton solve of integrate_polar's angle recurrence."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        # records each fall back to stepping the angle one step at a time
+        calls = []
+        step_angles = dynamics._step_angles
+        monkeypatch.setattr(dynamics, "_step_angles",
+                            lambda *args: calls.append(args) or step_angles(*args))
+        return calls
+
+    @staticmethod
+    def check_against_reference(a, r0, th0, step, n_steps, state_tol, theta_tol):
+        rt = decompose(a)
+        t_end = (n_steps + 0.37) * step
+        traj = integrate_polar(rt, r0, th0, step, t_end)
+        r, th = polar_rk4_reference(rt, r0, th0, step, t_end)
+        assert len(traj.t) == len(r) == n_steps + 2
+        gap = np.hypot(traj.x1 - r * np.cos(th), traj.x2 - r * np.sin(th))
+        assert (gap / r).max() <= state_tol
+        assert np.abs(traj.theta - (th - th[0] + traj.theta[0])).max() <= theta_tol
+
+    def test_long_runs_are_solved_whole(self, loop_calls):
+        # 1e5 steps, ten times the stagewise test's, at ten times its
+        # bounds: the rounding of either side grows with the step count
+        for a in (A_SPIRAL, A_TRIANGULAR):
+            step = 1e-3 / max_speed(a)
+            self.check_against_reference(a, 1.0, 0.4, step, 100_000, 1e-11, 1e-12)
+        assert not loop_calls
+
+    def test_coarse_steps_take_the_loop(self, loop_calls):
+        # at h speed = 2 no Newton pass is certified, so theta is stepped
+        for a in (A_SPIRAL, A_TRIANGULAR):
+            step = 2.0 / max_speed(a)
+            self.check_against_reference(a, 1.0, 0.4, step, 200, 1e-12, 1e-12)
+        assert len(loop_calls) == 2
+
+    def test_flat_amplitude(self, loop_calls):
+        # p = 0: Phi(theta) = theta + h m_T is linear, so one pass is exact
+        for a in (Mat2(-0.7, -3.0, 3.0, -0.7), Mat2(-0.7, 0.0, 0.0, -0.7)):
+            assert decompose(a).p == 0.0
+            self.check_against_reference(a, 2.0, 0.3, 1e-3, 10_000, 1e-12, 1e-13)
+        assert not loop_calls
+
+    def test_decaying_run_whose_guess_underflows(self, loop_calls):
+        # the Cartesian guess from a unit vector underflows (to subnormals,
+        # for the spiral to 0, leaving the guess stuck), the polar run from
+        # r0 = 1e300 does not: either way the result is the recurrence's
+        for a, n_steps in ((Mat2(-50.0, 0.0, 0.0, -60.0), 8700), (Mat2(-50.0, 20.0, -20.0, -60.0), 8700)):
+            step = 0.1 / max_speed(a)
+            cart = integrate_linear(a, (math.cos(0.3), math.sin(0.3)), step, (n_steps + 0.37) * step)
+            assert cart.r[-1] < 2.2e-308
+            self.check_against_reference(a, 1e300, 0.3, step, n_steps, 1e-12, 1e-12)
+
+    def test_growing_run_whose_guess_overflows(self, loop_calls):
+        # the Cartesian states pass 1e154, so their cross and dot products
+        # overflow: no guess, and the angle is stepped.  Over the 2e4 steps
+        # theta reaches 1764 (ulp 2.3e-13), and the scalar loop's samples
+        # drift from the stagewise ones by 1.3e-11 in angle (1.05e-11 of
+        # the state)
+        a = Mat2(1.5, -4.0, 4.0, 0.5)
+        assert decompose(a).p > 0.0
+        step = 0.1 / max_speed(a)
+        self.check_against_reference(a, 1.0, 0.3, step, 20_000, 5e-11, 5e-11)
+        assert len(loop_calls) == 1
+
+    def test_perturbed_guess_is_corrected_or_refused(self, rng):
+        # the guess only sets the speed: 1e-3 rad off, it gives the same
+        # angles as the Cartesian guess to 1e-13, or no answer at all
+        solved = 0
+        for a in [A_SPIRAL, A_SADDLE] + [random_mat2(rng) for _ in range(10)]:
+            rt = decompose(a)
+            step = 1e-3 / max(max_speed(a), 1.0)
+            t_end = (2000 + 0.37) * step
+            th0 = float(rng.uniform(-3.0, 3.0))
+            n_full, rem = _grid(step, t_end)
+            h = np.append(np.full(n_full, step), rem)
+            phase = rt.theta_r.value if rt.theta_r is not None else 0.0
+            args = (h * rt.m_t, h * rt.p, phase, step * rt.p)
+            guess = _polar_guess(rt, th0, step, t_end)
+            want = _solve_angles(guess, *args)[0]
+            for off in (np.full(n_full + 1, 1e-3), 1e-3 * np.sin(np.arange(n_full + 1))):
+                got = _solve_angles(np.append(th0, guess[1:] + off), *args)
+                if got is not None:
+                    solved += 1
+                    assert np.abs(got[0] - want).max() <= 1e-13
+        assert solved > 0
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_linear_scan_matches_sequential(self, rng, n):
+        # e_{k+1} = J_k e_k + r_k one step at a time, and the largest product
+        # of consecutive J by brute force over every run (with every J > 1,
+        # the whole sequence)
+        for lo, hi in ((0.5, 1.8), (1.0, 1.5)):
+            jac, res = rng.uniform(lo, hi, n), rng.normal(size=n)
+            e, e_max, log_g = _linear_scan(jac, res)
+            want = [0.0]
+            for j, r in zip(jac, res):
+                want.append(j * want[-1] + r)
+            assert np.abs(e - want).max() <= 1e-12 * np.abs(want).max()
+            assert e_max == np.abs(e).max()
+            run = np.append(0.0, np.cumsum(np.log(jac)))
+            runs = np.triu(run[None, :] - run[:, None])  # [i, j]: log of J_i ... J_{j-1}
+            assert log_g == pytest.approx(runs.max(), rel=1e-12, abs=1e-12)
+
+    def test_angle_overflow_is_numeric_failure(self):
+        # 2 (theta - theta_R) overflows: math.sin(inf) raised ValueError
+        for th0 in (1e308, -1e308):
+            with pytest.raises(NumericFailureError, match="angle overflowed"):
+                integrate_polar(decompose(A_SPIRAL), 1.0, th0, 1e-3, 0.01)
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 0.5, 1.0])
+    def test_curvature_bound_holds(self, beta):
+        # Phi'' by central differences of the increment Phi(theta) - theta
+        # (truncation ~ delta^2, rounding ~ eps/delta^2, both far below the
+        # bound), over a grid of theta and shifts a = h m_T; and J = Phi'
+        # against central differences with a finer delta
+        bound = _angle_curvature_bound(beta)
+        theta = np.linspace(0.0, math.pi, 2001)
+        worst = 0.0
+        for a in (0.0, 0.5 * beta, -2.0 * beta, 3.0 * beta):
+            def inc(d):
+                return _angle_stages(np.append(theta + d, 0.0), a, beta, 0.2)[0]
+            second = (inc(-1e-3) - 2.0 * inc(0.0) + inc(1e-3)) / 1e-6
+            worst = max(worst, np.abs(second).max())
+            jac = _angle_stages(np.append(theta, 0.0), a, beta, 0.2)[1]
+            assert np.abs(jac - 1.0 - (inc(1e-5) - inc(-1e-5)) / 2e-5).max() <= 1e-6
+        assert worst <= bound
+        if beta <= 1e-3:  # the bound is 4 beta to first order, and tight there
+            assert worst >= 0.99 * bound
 
 
 class TestNonautMatrices:
