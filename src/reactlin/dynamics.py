@@ -13,10 +13,12 @@ and each RK4 step multiplies r by a factor that depends only on the
 step's start angle and length, so the radius is one cumulative product
 over all steps.  The recurrence is solved for the whole sequence at once
 by Newton's method (each pass a linear recurrence, solved in blocks like
-the step-matrix powers), from the angles of the Cartesian RK4 run, and
-the result is accepted only with a bound showing it is the recurrence's
-own solution to below the rounding of theta; otherwise, as on coarse
-steps, a scalar loop steps theta alone.
+the step-matrix powers), as a small correction to the angles of the
+Cartesian RK4 run: those states give the stage sines and cosines, which
+the correction and the stage shifts only turn by small angles.  The
+result is accepted only with a bound showing it is the recurrence's own
+solution to below the rounding of theta; otherwise, as on coarse steps,
+a scalar loop steps theta alone.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -72,11 +74,15 @@ __all__ = [
     "log_norm_slope",
     "sweep_rotation_rates",
     "GROWTH_SLOPE_THRESHOLD",
+    "MAX_SWEEP_POINTS",
 ]
 
 # log-norm slope above which a trajectory counts as growing; robust to
 # the bounded oscillation a rotating frame leaves in the norm.
 GROWTH_SLOPE_THRESHOLD = 1e-3
+# Most rates one sweep_rotation_rates call takes: its log-norm array holds
+# up to 514 floats per rate, so 10^4 rates take about 41 MB.
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +259,11 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
     and one batched product fills every block, x_{bm} + D_j x_{bm}, in the
     output array, padded to whole blocks and trimmed by a view.
     """
-    x, y = _real("x0[0]", x0[0]), _real("x0[1]", x0[1])
+    try:
+        x, y = x0
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise InvalidInputError(f"x0 must be a pair of reals, got {x0!r}") from None
+    x, y = _real("x0[0]", x), _real("x0[1]", y)
     if x == 0.0 and y == 0.0:
         raise InvalidInputError("initial state must be nonzero")
     n_full, rem = _grid(step, t_end)
@@ -340,6 +350,11 @@ def matrix_exponential(a: Mat2, t: float) -> Mat2:
 # Most Newton passes the whole-sequence angle solve of integrate_polar
 # takes before it steps the angle one step at a time instead.
 _NEWTON_PASSES = 3
+# Taylor coefficients of cos and sin, and the most terms _turn takes for
+# the sine of a small angle (|d| up to about 0.06) before np.cos and np.sin.
+_TAYLOR_TERMS = 4
+_COS = [(-1.0) ** j / math.factorial(2 * j) for j in range(_TAYLOR_TERMS + 1)]
+_SIN = [(-1.0) ** j / math.factorial(2 * j + 1) for j in range(_TAYLOR_TERMS)]
 
 
 def _step_angles(theta0: float, m_t: float, p: float, phase: float,
@@ -370,42 +385,121 @@ def _step_angles(theta0: float, m_t: float, p: float, phase: float,
     return ths
 
 
-def _angle_stages(theta: np.ndarray, a, b, phase: float):
-    """The RK4 angle map Phi at every theta_n of theta[:-1] at once.
+def _turn(c, s, d, bound: float):
+    """cos(u + d) and sin(u + d) from c = cos u and s = sin u, for |d| <= bound;
+    d is overwritten.
 
-    Returns the increments Phi(theta_n) - theta_n, the derivatives
-    J_n = Phi'(theta_n), and per stage i the cosine of its argument u_i
-    with w_i = sin(u_i) du_i/dtheta, so that cos u_i at theta_n + e_n is
-    cos u_i - w_i e_n to first order.  The arguments are _step_angles'
-    shifted ones, and J follows them by the chain rule: with
-    d_i = du_i/dtheta, d_1 = 2, d_{2,3} = 2 - b cos(u_{1,2}) d_{1,2},
-    d_4 = 2 - 2 b cos(u_3) d_3, and J = 1 - b/6 sum_i k_i cos(u_i) d_i,
-    k = (1, 2, 2, 1).
+    cos d and sin d come from their Taylor series, with as many terms K as
+    make the first omitted one, at most bound^(2K+1)/(2K+1)!, no more than
+    2^-56; beyond _TAYLOR_TERMS terms, from np.cos and np.sin.
     """
     import numpy as np
-    v = theta[:-1] - phase
-    v *= 2.0
-    s1, c1 = np.sin(v), np.cos(v)
-    v += a
-    u = v - b * s1
-    s2, c2 = np.sin(u), np.cos(u)
-    u = v - b * s2
-    s3, c3 = np.sin(u), np.cos(u)
-    u = (v + a) - (2.0 * b) * s3
-    s4, c4 = np.sin(u), np.cos(u)
-    b6 = b / 6.0
-    inc = a - b6 * ((s1 + s4) + 2.0 * (s2 + s3))
-    d2 = 2.0 - (2.0 * b) * c1
-    p2 = c2 * d2
-    d3 = 2.0 - b * p2
-    p3 = c3 * d3
-    d4 = 2.0 - (2.0 * b) * p3
-    jac = 1.0 - b6 * (2.0 * (c1 + p2 + p3) + c4 * d4)
-    s1 *= 2.0
-    s2 *= d2
-    s3 *= d3
-    s4 *= d4
-    return inc, jac, ((c1, s1), (c2, s2), (c3, s3), (c4, s4))
+    k = 1
+    while k <= _TAYLOR_TERMS and min(bound, 1.0) ** (2 * k + 1) > 2.0 ** -56 * math.factorial(2 * k + 1):
+        k += 1
+    if k > _TAYLOR_TERMS:
+        cos_d, sin_d = np.cos(d), np.sin(d)
+    else:
+        d2 = d * d
+        cos_d, sin_d = np.full_like(d, _COS[k]), np.full_like(d, _SIN[k - 1])
+        for j in range(k - 1, -1, -1):
+            cos_d *= d2
+            cos_d += _COS[j]
+            if j:
+                sin_d *= d2
+                sin_d += _SIN[j - 1]
+        sin_d *= d
+        del d2
+    turned_c = c * cos_d
+    turned_c -= np.multiply(s, sin_d, out=d)
+    cos_d *= s
+    cos_d += np.multiply(c, sin_d, out=sin_d)
+    return turned_c, cos_d
+
+
+def _later_stages(c1, s1, a, b, bound: float):
+    """Yield (last, cos u_i, sin u_i) for RK4 angle stages i = 2, 3, 4 at
+    every step, given cos and sin of stage 1's argument u_1; last marks
+    stage 4.
+
+    As in _step_angles, u_2 = u_1 + a - b sin u_1, u_3 = u_1 + a - b sin u_2
+    and u_4 = u_1 + 2 (a - b sin u_3), each stage 1 turned by at most bound
+    (2 bound for stage 4) for bound >= |a| + |b|.  No stage is held after
+    the next one is formed, so a caller that drops each keeps one alive.
+    """
+    import numpy as np
+    s = s1
+    for last in (False, False, True):
+        d = b * s
+        del s
+        np.subtract(a, d, out=d)
+        if last:
+            d *= 2.0
+        c, s = _turn(c1, s1, d, 2.0 * bound if last else bound)
+        yield last, c, s
+        del c
+
+
+def _angle_map(c1, s1, a, b, bound: float):
+    """Increments Phi(theta) - theta and derivatives Phi'(theta) of the RK4
+    angle map at every step, from cos and sin of stage 1's argument.
+
+    Phi(theta) = theta + a - b/6 sum_i k_i sin u_i, k = (1, 2, 2, 1), and
+    Phi' = 1 - b/6 sum_i k_i cos(u_i) d_i, where d_i = du_i/dtheta: d_1 = 2,
+    d_{2,3} = 2 - b cos(u_{1,2}) d_{1,2}, d_4 = 2 - 2 b cos(u_3) d_3.  The
+    sums take each stage, weighted k_i / 2, as it is formed.
+    """
+    f, cd = 0.5 * s1, 2.0 * c1  # cd: cos(u_i) d_i
+    jac = 0.5 * cd
+    for last, c, s in _later_stages(c1, s1, a, b, bound):
+        cd *= -2.0 * b if last else -b
+        cd += 2.0
+        cd *= c
+        f += 0.5 * s if last else s
+        jac += 0.5 * cd if last else cd
+        del c, s
+    f *= -b / 3.0
+    jac *= -b / 3.0
+    return f + a, jac + 1.0
+
+
+def _radius_increments(c1, s1, a, b, bound: float, h, m_r: float, p: float):
+    """phi at every step, where the RK4 step multiplies r by 1 + phi,
+    phi = h/6 (g1 + 2 g2 + 2 g3 + g4): g_i is stage i's radial slope per
+    unit radius, (m_R + p cos u_i) times the stage's radius over r, a
+    function of the step's start angle and length only.  The stages are
+    _angle_map's, taken as they are formed.
+    """
+    g = p * c1 + m_r
+    phi = 0.5 * g
+    for last, c, s in _later_stages(c1, s1, a, b, bound):
+        g *= h if last else 0.5 * h
+        g += 1.0  # the stage's radius over r
+        c *= p
+        c += m_r
+        g *= c
+        phi += 0.5 * g if last else g
+        del c, s
+    phi *= h / 3.0
+    return phi
+
+
+def _radii(r0: float, phi: np.ndarray) -> np.ndarray:
+    """r0 and its cumulative products with the factors 1 + phi.
+
+    Each factor is hi + lo exactly, hi = fl(1 + phi), lo = phi - (hi - 1),
+    and r_n = r0 prod hi (1 + sum lo/hi) to second order in the lo.  So the
+    rounding of a factor does not recur at every step, as it would in a
+    product of fl(1 + phi), an error growing like the step count under a
+    constant factor.
+    """
+    import numpy as np
+    r = np.append(r0, phi + 1.0)  # r0 first, so a long decay from a large r0 keeps it
+    hi = r[1:]
+    lo = (phi - (hi - 1.0)) / hi
+    np.multiply.accumulate(r, out=r)
+    hi += np.cumsum(lo, out=lo) * hi
+    return r
 
 
 def _angle_curvature_bound(beta: float) -> float:
@@ -468,62 +562,90 @@ def _linear_scan(jac: np.ndarray, res: np.ndarray):
     return e, e_max, max(0.0, float((q.ravel() - low).max()))
 
 
-def _polar_guess(rt: RTParams, theta0: float, step: float, t_end: float):
-    """Angles of Cartesian RK4 of the matrix with curves rt, started from
-    (cos theta0, sin theta0) and accumulated from theta0 by the turn of
-    each step, atan2(cross, dot); None if that matrix or run overflows."""
-    try:
-        a = reconstruct(rt)
-        _, x, y = _step_linear(lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h),
-                               (math.cos(theta0), math.sin(theta0)), step, t_end)
-    except (InvalidInputError, NumericFailureError):
-        return None
+def _first_stage(x, y, phase: float, big_e=None, e_bound: float = 0.0):
+    """cos and sin of stage 1's argument 2 (theta_n - phase) at every step,
+    for theta_n = thc_n + E_n, thc_n the angle of the state (x_n, y_n):
+    (x^2 - y^2, 2 x y) / (x^2 + y^2) turned by -2 phase and by 2 E,
+    |E| <= e_bound."""
+    x, y = x[:-1], y[:-1]
+    rho2 = x * x + y * y
+    c, s = (x * x - y * y) / rho2, 2.0 * x * y / rho2
+    cp, sp = math.cos(2.0 * phase), math.sin(2.0 * phase)
+    c, s = c * cp + s * sp, s * cp - c * sp
+    return (c, s) if big_e is None else _turn(c, s, 2.0 * big_e[:-1], 2.0 * e_bound)
+
+
+def _scaled_states(x: np.ndarray, y: np.ndarray):
+    """The states and their successors, (x, y, x_next, y_next): where a
+    squared norm is not a normal float, state n and its successor are both
+    scaled by 2^-k_n, k_n the binary exponent of max(|x_n|, |y_n|).  That is
+    exact and keeps every angle, and the products that give the double
+    angles and the turns then keep full relative precision."""
     import numpy as np
-    guess = np.empty(len(x))
-    guess[0] = 0.0
-    # a cross or dot product that overflows ends as nan in the last angle
-    with np.errstate(over="ignore", invalid="ignore"):
-        x0, y0, x1, y1 = x[:-1], y[:-1], x[1:], y[1:]
-        np.cumsum(np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1), out=guess[1:])
-    guess += theta0
-    return guess if math.isfinite(guess[-1]) else None
+    rho2 = x * x + y * y
+    if rho2.min() >= 2.0 ** -968 and rho2.max() < math.inf:
+        return x, y, x[1:], y[1:]
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(x), abs(y)))[1])
+    return x * scale, y * scale, x[1:] * scale[:-1], y[1:] * scale[:-1]
 
 
-def _solve_angles(guess: np.ndarray, a, b, phase: float, beta: float):
-    """Whole-sequence solve of theta_{n+1} = Phi(theta_n), theta_0 = guess[0].
+def _turns(x: np.ndarray, y: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Each step's turn from state n to its successor, atan2(cross, dot), with
+    the cross product formed from the step's increment so that it keeps the
+    accuracy of the turn itself and the turns' roundings do not add up."""
+    import numpy as np
+    x0, y0 = x[:-1], y[:-1]
+    return np.arctan2(x0 * (y1 - y0) - y0 * (x1 - x0), x0 * x1 + y0 * y1)
+
+
+def _solve_angles(x: np.ndarray, y: np.ndarray, x_next: np.ndarray, y_next: np.ndarray,
+                  theta0: float, a, b, phase: float, beta: float, bound: float):
+    """Whole-sequence solve of theta_{n+1} = Phi(theta_n), theta_0 = theta0,
+    as theta_n = thc_n + E_n: thc_n is the angle of the Cartesian RK4 state
+    (x_n, y_n), accumulated from theta0 by each step's turn (_turns), and
+    E_n a small correction, so that no stage takes a sine of the full range
+    of angles (_first_stage, _later_stages).
 
     Newton's method over the sequence: with residuals r_n =
-    Phi(theta_n) - theta_{n+1} and J_n = Phi'(theta_n) at the current
-    iterate, the correction solves e_{n+1} = J_n e_n + r_n, e_0 = 0
-    (_linear_scan).  The corrected sequence then differs from the
-    recurrence's own solution by d, with d_0 = 0 and
-    d_{n+1} = J_n d_n + Phi''(xi_n) (e_n + d_n)^2 / 2, so by at most the
-    Newton remainder n max|Phi''| G max|e|^2 (beta bounds h p for
-    max|Phi''|, G is the largest product of consecutive J) while that is
-    at most 0.4 max|e|.  A pass is accepted when the remainder is also
-    below 2^-54 max(1, max|theta|), below the rounding of theta itself;
-    else it repeats, at most _NEWTON_PASSES times.  Returns the
-    corrected angles, their last correction e and the stage terms of
-    the last pass (_angle_stages), or None if a J is not positive, the
-    correction is not finite or no pass is accepted.
+    Phi(theta_n) - theta_{n+1} = F_n - turn_n - (E_{n+1} - E_n), F_n the
+    increment of Phi, and J_n = Phi'(theta_n) at the current iterate, the
+    correction solves e_{n+1} = J_n e_n + r_n, e_0 = 0 (_linear_scan).  The
+    corrected sequence then differs from the recurrence's own solution
+    by d, with d_0 = 0 and d_{n+1} = J_n d_n + Phi''(xi_n) (e_n + d_n)^2 / 2,
+    so by at most the Newton remainder n max|Phi''| G max|e|^2 (beta
+    bounds h p for max|Phi''|, G is the largest product of consecutive J)
+    while that is at most 0.4 max|e|.  A pass is accepted when the
+    remainder is also below 2^-54 max(1, max|theta|), below the rounding
+    of theta itself, with max|theta| <= |theta0| + sum|turn| + max|E|;
+    else it repeats, at most _NEWTON_PASSES times.  Returns E and max|E|,
+    or None if a stage argument 2 (theta - phase) overflows, a J is not
+    positive, the correction is not finite or no pass is accepted.
     """
-    theta = guess
-    scale = (len(theta) - 1) * _angle_curvature_bound(beta)
+    scale = (len(x) - 1) * _angle_curvature_bound(beta)
+    big_e, e_bound, top = None, 0.0, None
     for _ in range(_NEWTON_PASSES):
-        inc, jac, stages = _angle_stages(theta, a, b, phase)
+        f, jac = _angle_map(*_first_stage(x, y, phase, big_e, e_bound), a, b, bound)
         if not jac.min() > 0.0:  # nan included
             return None
-        inc += theta[:-1]
-        inc -= theta[1:]  # the residual r
-        scan = _linear_scan(jac, inc)
+        turn = _turns(x, y, x_next, y_next)
+        if top is None:
+            top = abs(theta0) + float(abs(turn).sum())  # bounds max|thc|
+            if not math.isfinite(2.0 * (top + abs(phase))):
+                return None
+        f -= turn  # f is now the residual r
+        if big_e is not None:
+            f -= big_e[1:]
+            f += big_e[:-1]
+        del turn
+        scan = _linear_scan(jac, f)
         if scan is None:
             return None
         e, e_max, log_g = scan
-        theta = theta + e
+        big_e = e if big_e is None else big_e + e
+        e_bound = max(float(big_e.max()), -float(big_e.min()))
         remainder = scale * e_max * e_max * math.exp(min(log_g, 709.0))
-        limit = 2.0 ** -54 * max(1.0, float(theta.max()), -float(theta.min()))
-        if remainder <= min(limit, 0.4 * e_max):
-            return theta, e, stages
+        if remainder <= min(2.0 ** -54 * max(1.0, top + e_bound), 0.4 * e_max):
+            return big_e, e_bound
     return None
 
 
@@ -535,20 +657,19 @@ def integrate_polar(
     The angle alone obeys a recurrence, theta_{n+1} = Phi(theta_n), Phi
     one RK4 step of dtheta = T(theta) (_step_angles), from theta0 as
     given, unnormalized.  It is solved for the whole sequence at once by
-    Newton's method (_solve_angles), started from the angles of the
-    Cartesian RK4 run of the same system, and accepted only with a
+    Newton's method, as a correction E to the angles of the Cartesian RK4
+    run of the same system (_solve_angles), and accepted only with a
     certificate that it is the recurrence's own solution to below the
-    rounding of theta.  The start sets only the speed, so the result is
-    still independent of integrate_linear.  Where no pass is certified
-    (coarse steps) the angle is stepped one step at a time.  One RK4
-    step multiplies r by 1 + h/6 (g1 + 2 g2 + 2 g3 + g4), where g_i is
-    stage i's radial slope per unit radius, (m_R + p cos u_i) times the
-    stage's radius over r, a function of the step's start angle and
-    length only: the stage cosines come from the angle solve, moved to
-    first order onto the corrected angles, and r is the cumulative
-    product of the factors.  Samples are returned in Cartesian form
-    (r cos theta, r sin theta), so Trajectory.theta, rebuilt from them,
-    starts at theta0 reduced into (-pi, pi].
+    rounding of theta.  The Cartesian run sets only the speed, so the
+    result is still independent of integrate_linear.  Where no pass is
+    certified (coarse steps) the angle is stepped one step at a time.
+    One RK4 step multiplies r by a factor that depends only on the step's
+    start angle and length, from the same stages (_radius_increments), and
+    r is the cumulative product of the factors (_radii).  Samples are
+    returned in Cartesian form (r cos theta, r sin theta), at the Cartesian
+    run's times: each Cartesian state's direction turned through E.  So
+    Trajectory.theta, rebuilt from them, starts at theta0 reduced into
+    (-pi, pi].
     """
     step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
@@ -558,34 +679,38 @@ def integrate_polar(
     import numpy as np
     h = np.append(np.full(n_full, step), rem) if rem else step
     a, b = h * m_t, h * p
-    # An angle that overflows ends as nan in J, so that no Newton pass is
-    # accepted, and then as a ValueError from math.sin in the loop; a
-    # radius that overflows ends as inf or nan in the last one, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        guess = _polar_guess(rt, theta0, step, t_end)
-        solved = None if guess is None else _solve_angles(guess, a, b, phase, step * p)
-        if solved is None:
+    bound = step * (abs(m_t) + p)  # bounds each stage's shift |a - b sin u|
+    # The Cartesian run's norm grows like e^{sigma t} once its direction
+    # settles, sigma the largest real part of an eigenvalue: a start of norm
+    # about e^{-sigma t_end / 2}, a power of two, keeps long runs in range.
+    sigma = m_r + (math.sqrt((p - abs(m_t)) * (p + abs(m_t))) if p > abs(m_t) else 0.0)
+    norm = math.ldexp(1.0, int(max(-960.0, min(960.0, -0.5 * t_end * sigma / math.log(2.0)))))
+    # A state that underflows to 0 ends as nan in J, so that no pass is
+    # accepted, and an angle that overflows as a ValueError from math.sin in
+    # the loop; a radius that overflows ends as inf or nan in the last sample.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            cart = reconstruct(rt)
+            ts, x, y = _step_linear(lambda hs: _rk4_increment(cart.a11, cart.a12, cart.a21, cart.a22, hs),
+                                    (norm * math.cos(theta0), norm * math.sin(theta0)), step, t_end)
+            x, y, x_next, y_next = _scaled_states(x, y)
+            solved = _solve_angles(x, y, x_next, y_next, theta0, a, b, phase, step * p, bound)
+        except (InvalidInputError, NumericFailureError):  # the Cartesian matrix or run overflows
+            solved = None
+        if solved is None:  # the loop's own directions, with no correction
             try:
                 ths = _step_angles(theta0, m_t, p, phase, step, n_full, rem)
             except ValueError:
                 raise NumericFailureError(f"angle overflowed before t = {t_end!r}") from None
             theta = np.fromiter(ths, float, len(ths))
-            stages = _angle_stages(theta, a, b, phase)[2]
-        else:
-            theta, e, stages = solved
-            for c, w in stages:
-                w *= e[:-1]
-                c -= w
-        (c1, _), (c2, _), (c3, _), (c4, _) = stages
-        g1 = m_r + p * c1
-        g2 = (1.0 + 0.5 * h * g1) * (m_r + p * c2)
-        g3 = (1.0 + 0.5 * h * g2) * (m_r + p * c3)
-        g4 = (1.0 + h * g3) * (m_r + p * c4)
-        f = 1.0 + h / 6.0 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        r = np.cumprod(np.append(r0, f))  # r0 first, so a long decay from a large r0 keeps it
-        xs, ys = r * np.cos(theta), r * np.sin(theta)
-    _check_finite(float(r[-1]), float(theta[-1]), t_end)
-    return _trajectory(_sample_times(n_full, step, rem, t_end), xs, ys, step, "rk4_polar")
+            ts, x, y = _sample_times(n_full, step, rem, t_end), np.cos(theta), np.sin(theta)
+        big_e, e_bound = solved or (None, 0.0)
+        r = _radii(r0, _radius_increments(*_first_stage(x, y, phase, big_e, e_bound),
+                                          a, b, bound, h, m_r, p))
+        r /= np.sqrt(x * x + y * y)
+        xs, ys = (r * x, r * y) if big_e is None else _turn(r * x, r * y, big_e, e_bound)
+    _check_finite(float(xs[-1]), float(ys[-1]), t_end)
+    return _trajectory(ts, xs, ys, step, "rk4_polar")
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +796,10 @@ def integrate_nonaut(
     """RK4 on X' = B_k(t) X with the time-dependent rotating matrix.
 
     Steps run in the co-rotating frame z = R(kt) X, where every RK4 step
-    is the same matrix; each sample is turned back by R(-k t_n), with
-    the angle taken from t_n itself so rotation error never accumulates.
+    is the same matrix; each sample is turned back by R(-k t_n).  With
+    n = _BLOCK i + j, k t_n is the sum of k (_BLOCK i h) and k (j h), each
+    computed directly, so rotation error never accumulates; the cosines
+    and sines of the two come by angle addition, and t_end's directly.
     """
     step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     k = cfg.k
@@ -680,7 +807,13 @@ def integrate_nonaut(
         lambda h: _corotating_increment(cfg.base, k, h), x0, step, t_end
     )
     import numpy as np
-    c, s = np.cos(k * ts), np.sin(k * ts)
+    n = _grid(step, t_end)[0] + 1  # samples on the grid, t_n = n h
+    starts = k * (np.arange(n // _BLOCK + 1)[:, None] * (_BLOCK * step))
+    offsets = k * (np.arange(_BLOCK) * step)
+    cs, ss, co, so = np.cos(starts), np.sin(starts), np.cos(offsets), np.sin(offsets)
+    c, s = (cs * co - ss * so).ravel(), (ss * co + cs * so).ravel()
+    c[n], s[n] = math.cos(k * t_end), math.sin(k * t_end)  # a partial step's sample
+    c, s = c[:len(ts)], s[:len(ts)]
     return _trajectory(ts, c * z + s * w, c * w - s * z, step, "rk4_nonaut")
 
 
@@ -728,7 +861,8 @@ def sweep_rotation_rates(
     step: float = 5e-3,
     t_end: float = 50.0,
 ) -> SweepResult:
-    """Classify growth/decay of the spun system over a grid of rates k.
+    """Classify growth/decay of the spun system over a grid of n rates k,
+    2 <= n <= MAX_SWEEP_POINTS.
 
     In the co-rotating frame z = R(kt) X the spun system is X' = (A + kJ) X,
     and |z| = |X| because a rotation keeps the norm, so the norm from
@@ -749,6 +883,8 @@ def sweep_rotation_rates(
     import numbers
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise InvalidInputError(f"need at least 2 sweep points, got {n!r}")
+    if n > MAX_SWEEP_POINTS:
+        raise InvalidInputError(f"need at most {MAX_SWEEP_POINTS} sweep points, got {n!r}")
     if not (k_min < k_max):
         raise InvalidInputError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     _real("k_max - k_min", k_max - k_min)  # np.linspace needs the width

@@ -37,6 +37,7 @@ from reactlin import (
     rotation_matrix,
     sweep_rotation_rates,
 )
+from reactlin.dynamics import MAX_SWEEP_POINTS
 from conftest import A_SPIRAL, A_TRIANGULAR
 
 RT = decompose(A_SPIRAL)
@@ -155,3 +156,27 @@ def test_sweep_width_must_be_a_float():
     with pytest.raises(InvalidInputError) as exc:
         sweep_rotation_rates(A_SPIRAL, -1e308, 1e308, 5)
     assert str(exc.value) == "k_max - k_min=inf is not finite"
+
+
+# (function, call): call(v) passes v as the initial state x0.
+X0_CASES = [
+    ("integrate_linear", lambda v: integrate_linear(A_TRIANGULAR, v, 1e-3, 1.0)),
+    ("integrate_nonaut", lambda v: integrate_nonaut(CFG, v, 1e-3, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name, call", X0_CASES, ids=[c[0] for c in X0_CASES])
+@pytest.mark.parametrize("bad", [(1.0,), 1.0, (1.0, 0.0, 5.0), None, [], "x"],
+                         ids=["1-tuple", "float", "3-tuple", "None", "empty", "string"])
+def test_initial_state_must_be_a_pair(name, call, bad):
+    with pytest.raises(InvalidInputError) as exc:
+        call(bad)
+    assert str(exc.value) == f"x0 must be a pair of reals, got {bad!r}"
+
+
+def test_sweep_count_is_bounded():
+    # the log-norm array holds up to 514 floats per rate
+    for bad in (MAX_SWEEP_POINTS + 1, 10**20):
+        with pytest.raises(InvalidInputError) as exc:
+            sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, bad)
+        assert str(exc.value) == f"need at most {MAX_SWEEP_POINTS} sweep points, got {bad!r}"

@@ -269,6 +269,13 @@ class TestSweepK:
             )
         assert code == 2 and out == "" and "k_max" in err
 
+    def test_too_many_rates_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep-k", "--k-min", "-8", "--k-max", "0", "--n", "100000000000000000000",
+            "--", "0.7", "-4", "4", "-4.7",
+        )
+        assert code == 2 and out == "" and "at most 10000 sweep points" in err
+
     def test_unrepresentable_norm_exits_4(self, capsys):
         # the criterion-9 spiral and grid times 2e4: no window is reported
         code, out, err = run_cli(

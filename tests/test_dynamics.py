@@ -34,14 +34,14 @@ from reactlin import dynamics
 from reactlin.dynamics import (
     _BLOCK,
     _angle_curvature_bound,
-    _angle_stages,
+    _angle_map,
     _corotating_increment,
     _grid,
     _linear_scan,
-    _polar_guess,
     _rk4_increment,
     _solve_angles,
     _step_linear,
+    _turn,
 )
 from reactlin.spectra import ComplexPairEigen
 from conftest import (
@@ -296,36 +296,40 @@ def polar_rk4_reference(rt, r0, theta0, step, t_end, mp=None):
     """Radii and angles of RK4 on dr = r R(theta), dtheta = T(theta),
     stage by stage, one step at a time: in floats, or, given an mpmath
     module, exactly at its working precision from the float parameters
-    and steps, rounded to floats at the end."""
+    and steps, rounded to floats at the end.  In floats theta is carried
+    as hi + lo, each step's increment added by two-sum, so that the
+    rounding of theta does not add up along the run."""
     num, cos, sin = (float, math.cos, math.sin) if mp is None else (mp.mpf, mp.cos, mp.sin)
     m_r, m_t, p = num(rt.m_r), num(rt.m_t), num(rt.p)
     phase = num(rt.theta_r.value if rt.theta_r is not None else 0.0)
 
-    def rk4(r, th, h):
-        u = 2.0 * (th - phase)
+    def rk4(r, hi, lo, h):
+        u = 2.0 * ((hi - phase) + lo)
         k1r = r * (m_r + p * cos(u))
         k1t = m_t - p * sin(u)
-        u = 2.0 * (th + 0.5 * h * k1t - phase)
+        u = 2.0 * ((hi - phase) + (lo + 0.5 * h * k1t))
         k2r = (r + 0.5 * h * k1r) * (m_r + p * cos(u))
         k2t = m_t - p * sin(u)
-        u = 2.0 * (th + 0.5 * h * k2t - phase)
+        u = 2.0 * ((hi - phase) + (lo + 0.5 * h * k2t))
         k3r = (r + 0.5 * h * k2r) * (m_r + p * cos(u))
         k3t = m_t - p * sin(u)
-        u = 2.0 * (th + h * k3t - phase)
+        u = 2.0 * ((hi - phase) + (lo + h * k3t))
         k4r = (r + h * k3r) * (m_r + p * cos(u))
         k4t = m_t - p * sin(u)
-        return (
-            r + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            th + h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
-        )
+        inc = h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        total = hi + inc  # two-sum: total + err = hi + inc exactly
+        back = total - hi
+        lo += (hi - (total - back)) + (inc - back)
+        hi = total + lo
+        return r + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r), hi, lo - (hi - total)
 
     n_full = int(math.floor(t_end / step + 1e-9))
-    r, th = num(r0), num(theta0)
-    rs, ths = [r], [th]
+    r, hi, lo = num(r0), num(theta0), num(0.0)
+    rs, ths = [r], [hi]
     for h in [step] * n_full + [t_end - n_full * step]:
-        r, th = rk4(r, th, num(h))
+        r, hi, lo = rk4(r, hi, lo, num(h))
         rs.append(r)
-        ths.append(th)
+        ths.append(hi + lo)
     return np.array(rs, dtype=float), np.array(ths, dtype=float)
 
 
@@ -439,11 +443,12 @@ class TestPolarAngleSolve:
         assert np.abs(traj.theta - (th - th[0] + traj.theta[0])).max() <= theta_tol
 
     def test_long_runs_are_solved_whole(self, loop_calls):
-        # 1e5 steps, ten times the stagewise test's, at ten times its
-        # bounds: the rounding of either side grows with the step count
+        # 1e5 steps, ten times the stagewise test's, at ten times its state
+        # bound, whose rounding grows with the step count; theta is at its
+        # bound, as neither side lets theta's roundings add up
         for a in (A_SPIRAL, A_TRIANGULAR):
             step = 1e-3 / max_speed(a)
-            self.check_against_reference(a, 1.0, 0.4, step, 100_000, 1e-11, 1e-12)
+            self.check_against_reference(a, 1.0, 0.4, step, 100_000, 1e-11, 1e-13)
         assert not loop_calls
 
     def test_coarse_steps_take_the_loop(self, loop_calls):
@@ -461,30 +466,44 @@ class TestPolarAngleSolve:
         assert not loop_calls
 
     def test_decaying_run_whose_guess_underflows(self, loop_calls):
-        # the Cartesian guess from a unit vector underflows (to subnormals,
-        # for the spiral to 0, leaving the guess stuck), the polar run from
-        # r0 = 1e300 does not: either way the result is the recurrence's
+        # a Cartesian run from a unit vector underflows (to subnormals, and
+        # for the spiral to 0), the polar run from r0 = 1e300 does not.  The
+        # polar route starts its own Cartesian run near e^{-sigma t_end / 2},
+        # so the angle is still solved whole, and it is the recurrence's
         for a, n_steps in ((Mat2(-50.0, 0.0, 0.0, -60.0), 8700), (Mat2(-50.0, 20.0, -20.0, -60.0), 8700)):
             step = 0.1 / max_speed(a)
             cart = integrate_linear(a, (math.cos(0.3), math.sin(0.3)), step, (n_steps + 0.37) * step)
             assert cart.r[-1] < 2.2e-308
             self.check_against_reference(a, 1e300, 0.3, step, n_steps, 1e-12, 1e-12)
+        assert not loop_calls
 
     def test_growing_run_whose_guess_overflows(self, loop_calls):
-        # the Cartesian states pass 1e154, so their cross and dot products
-        # overflow: no guess, and the angle is stepped.  Over the 2e4 steps
-        # theta reaches 1764 (ulp 2.3e-13), and the scalar loop's samples
-        # drift from the stagewise ones by 1.3e-11 in angle (1.05e-11 of
-        # the state)
+        # the Cartesian states from a unit vector pass 1e154, where their
+        # squared norms overflow; the polar route's own run starts lower
+        # and stays in range, so the angle is solved whole.  Over the 2e4
+        # steps theta reaches 1764 (ulp 2.3e-13)
         a = Mat2(1.5, -4.0, 4.0, 0.5)
         assert decompose(a).p > 0.0
         step = 0.1 / max_speed(a)
         self.check_against_reference(a, 1.0, 0.3, step, 20_000, 5e-11, 5e-11)
-        assert len(loop_calls) == 1
+        assert not loop_calls
+
+    def test_run_beyond_the_squared_norm_range_is_rescaled(self, loop_calls):
+        # the norm grows by e^800 over the run, so even from its centred
+        # start the Cartesian states' squared norms leave the float range at
+        # both ends; each state is scaled by a power of two instead, which
+        # keeps its angle, and the angle is still solved whole.  theta
+        # reaches 3200 (ulp 4.5e-13)
+        a = Mat2(1.5, -4.0, 4.0, 0.5)
+        step = 0.1 / max_speed(a)
+        n_steps = int(800.0 / step)
+        self.check_against_reference(a, 1e-300, 0.3, step, n_steps, 1e-11, 1e-10)
+        assert not loop_calls
 
     def test_perturbed_guess_is_corrected_or_refused(self, rng):
-        # the guess only sets the speed: 1e-3 rad off, it gives the same
-        # angles as the Cartesian guess to 1e-13, or no answer at all
+        # the Cartesian states only set the speed: each turned by 1e-3 rad
+        # more (the first kept), they give the same angles thc + E to 1e-13,
+        # or no answer at all
         solved = 0
         for a in [A_SPIRAL, A_SADDLE] + [random_mat2(rng) for _ in range(10)]:
             rt = decompose(a)
@@ -494,14 +513,17 @@ class TestPolarAngleSolve:
             n_full, rem = _grid(step, t_end)
             h = np.append(np.full(n_full, step), rem)
             phase = rt.theta_r.value if rt.theta_r is not None else 0.0
-            args = (h * rt.m_t, h * rt.p, phase, step * rt.p)
-            guess = _polar_guess(rt, th0, step, t_end)
-            want = _solve_angles(guess, *args)[0]
-            for off in (np.full(n_full + 1, 1e-3), 1e-3 * np.sin(np.arange(n_full + 1))):
-                got = _solve_angles(np.append(th0, guess[1:] + off), *args)
+            args = (th0, h * rt.m_t, h * rt.p, phase, step * rt.p, step * (abs(rt.m_t) + rt.p))
+            cart = integrate_linear(reconstruct(rt), (math.cos(th0), math.sin(th0)), step, t_end)
+            x, y = cart.x1, cart.x2
+            want = _solve_angles(x, y, x[1:], y[1:], *args)[0]
+            for off in (np.full(n_full + 2, 1e-3), 1e-3 * np.sin(np.arange(n_full + 2))):
+                off[0] = 0.0
+                xo, yo = x * np.cos(off) - y * np.sin(off), x * np.sin(off) + y * np.cos(off)
+                got = _solve_angles(xo, yo, xo[1:], yo[1:], *args)
                 if got is not None:
                     solved += 1
-                    assert np.abs(got[0] - want).max() <= 1e-13
+                    assert np.abs(got[0] + off - want).max() <= 1e-13
         assert solved > 0
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
@@ -537,15 +559,46 @@ class TestPolarAngleSolve:
         theta = np.linspace(0.0, math.pi, 2001)
         worst = 0.0
         for a in (0.0, 0.5 * beta, -2.0 * beta, 3.0 * beta):
+            def stages(d):
+                u = 2.0 * (theta + d - 0.2)
+                return _angle_map(np.cos(u), np.sin(u), a, beta, abs(a) + beta)
+
             def inc(d):
-                return _angle_stages(np.append(theta + d, 0.0), a, beta, 0.2)[0]
+                return stages(d)[0]
             second = (inc(-1e-3) - 2.0 * inc(0.0) + inc(1e-3)) / 1e-6
             worst = max(worst, np.abs(second).max())
-            jac = _angle_stages(np.append(theta, 0.0), a, beta, 0.2)[1]
+            jac = stages(0.0)[1]
             assert np.abs(jac - 1.0 - (inc(1e-5) - inc(-1e-5)) / 2e-5).max() <= 1e-6
         assert worst <= bound
         if beta <= 1e-3:  # the bound is 4 beta to first order, and tight there
             assert worst >= 0.99 * bound
+
+    def test_small_turns_match_numpy(self, rng):
+        # the Taylor series of _turn at each number of terms, and np.cos /
+        # np.sin beyond them, against numpy, whose own side rounds u + d
+        for bound in (1e-15, 4e-6, 1e-3, 1e-2, 0.05, 0.3, 3.0, 1e300):
+            d = rng.uniform(-1.0, 1.0, 1000) * min(bound, 1.0)
+            u = rng.uniform(-4.0, 4.0, 1000)
+            c, s = _turn(np.cos(u), np.sin(u), d.copy(), bound)
+            assert np.abs(c - np.cos(u + d)).max() <= 2.0 ** -50
+            assert np.abs(s - np.sin(u + d)).max() <= 2.0 ** -50
+
+    def test_radius_under_a_constant_factor_does_not_drift(self):
+        # p = 0: every step multiplies r by the same factor
+        # f = 1 + z + z^2/2 + z^3/6 + z^4/24, z = h m_R, so r_n = r0 f^n.  A
+        # cumulative product of fl(f) repeats the rounding of f at every
+        # step (3.0e-12 off at 1e5 steps); the split factor does not
+        mpmath = pytest.importorskip("mpmath")
+        for a in (Mat2(-0.7, -3.0, 3.0, -0.7), Mat2(-0.7, 0.0, 0.0, -0.7)):
+            rt = decompose(a)
+            traj = integrate_polar(rt, 2.0, 0.3, 1e-3, 100_000 * 1e-3)
+            assert len(traj.t) == 100_001
+            picks = list(range(0, 100_001, 997)) + [100_000]
+            with mpmath.workdps(40):
+                z = mpmath.mpf(1e-3) * mpmath.mpf(rt.m_r)
+                f = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+                want = np.array([float(2 * f ** k) for k in picks])
+            assert (np.abs(traj.r[picks] - want) / want).max() <= 1e-13
 
 
 class TestNonautMatrices:
