@@ -30,18 +30,14 @@ from reactlin import (
     sweep_rotation_rates,
     transient_summary,
 )
-from reactlin import dynamics
+from reactlin import _polar
+from reactlin._polar import _angle_curvature_bound, _angle_map, _linear_scan, _solve_angles, _turn
 from reactlin.dynamics import (
     _BLOCK,
-    _angle_curvature_bound,
-    _angle_map,
     _corotating_increment,
     _grid,
-    _linear_scan,
     _rk4_increment,
-    _solve_angles,
     _step_linear,
-    _turn,
 )
 from reactlin.spectra import ComplexPairEigen
 from conftest import (
@@ -426,8 +422,8 @@ class TestPolarAngleSolve:
     def loop_calls(self, monkeypatch):
         # records each fall back to stepping the angle one step at a time
         calls = []
-        step_angles = dynamics._step_angles
-        monkeypatch.setattr(dynamics, "_step_angles",
+        step_angles = _polar._step_angles
+        monkeypatch.setattr(_polar, "_step_angles",
                             lambda *args: calls.append(args) or step_angles(*args))
         return calls
 
