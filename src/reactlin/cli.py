@@ -5,19 +5,22 @@ Matrix entries are given row-major (a11 a12 a21 a22); put them after a
 `--` separator when they start with a minus sign.  Exit codes: 0 ok,
 2 usage error, 3 inapplicable classification, 4 numeric failure.
 Floats are serialized with 17 significant digits and output carries no
-timestamps, so identical invocations are byte-identical.
+timestamps, so identical invocations are byte-identical.  The rt, eigen
+and ortho blocks and synthesize's measured values come from one helper,
+_record_out: a record's field names, with the paper's capital subscripts.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 from . import __version__
 from .amplification import rho_max_bound_eigen, rho_max_bound_ortho, rho_max_closed
-from .core import Mat2, decompose, eval_radial, eval_tangential
+from .core import AngleModPi, Mat2, decompose, eval_radial, eval_tangential
 from .dynamics import (
     NonautConfig,
     default_step,
@@ -113,42 +116,25 @@ def _matrix_out(a: Mat2) -> list[list[float]]:
     return [[a.a11, a.a12], [a.a21, a.a22]]
 
 
-def _eigen_out(eig) -> dict:
-    if isinstance(eig, DistinctRealEigen):
-        return {
-            "kind": "distinct_real",
-            "lambda1": eig.lambda1,
-            "lambda2": eig.lambda2,
-            "theta1": eig.theta1.value,
-            "theta2": eig.theta2.value,
-            "delta_T": eig.delta_t,
-            "p_R": eig.p_r,
-        }
-    if isinstance(eig, ComplexPairEigen):
-        return {"kind": "complex_pair", "re": eig.re, "im": eig.im}
-    if isinstance(eig, RepeatedFullEigen):
-        return {"kind": "repeated_full", "lambda": eig.lam}
-    assert isinstance(eig, RepeatedDefectiveEigen)
-    return {"kind": "repeated_defective", "lambda": eig.lam, "theta0": eig.theta0.value}
+# Record field names written with the paper's capital subscripts, and the
+# "kind" of each eigen- and ortho-structure record.
+_KEYS = {"lam": "lambda", "m_r": "m_R", "m_t": "m_T", "theta_r": "theta_R",
+         "delta_t": "delta_T", "p_r": "p_R", "delta_r": "delta_R", "p_t": "p_T"}
+_KINDS = {DistinctRealEigen: "distinct_real", ComplexPairEigen: "complex_pair",
+          RepeatedFullEigen: "repeated_full", RepeatedDefectiveEigen: "repeated_defective",
+          DistinctRealOrtho: "distinct_real", NoRealOrtho: "no_real", AllOrtho: "all_ortho",
+          RepeatedOrtho: "repeated_ortho"}
 
 
-def _ortho_out(ortho) -> dict:
-    if isinstance(ortho, DistinctRealOrtho):
-        return {
-            "kind": "distinct_real",
-            "mu1": ortho.mu1,
-            "mu2": ortho.mu2,
-            "phi1": ortho.phi1.value,
-            "phi2": ortho.phi2.value,
-            "delta_R": ortho.delta_r,
-            "p_T": ortho.p_t,
-        }
-    if isinstance(ortho, NoRealOrtho):
-        return {"kind": "no_real"}
-    if isinstance(ortho, AllOrtho):
-        return {"kind": "all_ortho", "mu": ortho.mu}
-    assert isinstance(ortho, RepeatedOrtho)
-    return {"kind": "repeated_ortho", "mu": ortho.mu, "phi0": ortho.phi0.value}
+def _record_out(record) -> dict:
+    """A record's fields in order, renamed by _KEYS, angles as their value
+    and None fields dropped, after its kind when _KINDS has one."""
+    out = {"kind": _KINDS[type(record)]} if type(record) in _KINDS else {}
+    for field in dataclasses.fields(record):
+        v = getattr(record, field.name)
+        if v is not None:
+            out[_KEYS.get(field.name, field.name)] = v.value if isinstance(v, AngleModPi) else v
+    return out
 
 
 def _form_out(builder, a: Mat2) -> dict:
@@ -179,9 +165,6 @@ def cmd_analyze(args) -> int:
     a = Mat2(*args.matrix)
     rt = decompose(a)
     summary = transient_summary(rt)
-    rt_out = {"m_R": rt.m_r, "m_T": rt.m_t, "p": rt.p}
-    if rt.theta_r is not None:
-        rt_out["theta_R"] = rt.theta_r.value
     transient_out = {
         "rho1": summary.rho1,
         "rho2": summary.rho2,
@@ -194,9 +177,9 @@ def cmd_analyze(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "matrix": _matrix_out(a),
-        "rt": rt_out,
-        "eigen": _eigen_out(eigen_structure(rt)),
-        "ortho": _ortho_out(ortho_structure(rt)),
+        "rt": _record_out(rt),
+        "eigen": _record_out(eigen_structure(rt)),
+        "ortho": _record_out(ortho_structure(rt)),
         "transient": transient_out,
         "standard_forms": {
             "rc": _form_out(to_r_centered, a),
@@ -270,25 +253,13 @@ def cmd_sweep_k(args) -> int:
 
 def _measured_block(a: Mat2) -> dict:
     rt = decompose(a)
-    summary = transient_summary(rt)
-    out = {
-        "rho": rt.rho1,
-        "classification": summary.classification.value,
-    }
-    eig = eigen_structure(rt)
-    if isinstance(eig, DistinctRealEigen):
-        out["lambda1"] = eig.lambda1
-        out["lambda2"] = eig.lambda2
-        out["theta1"] = eig.theta1.value
-        out["theta2"] = eig.theta2.value
-        out["delta_T"] = eig.delta_t
-    elif isinstance(eig, RepeatedDefectiveEigen):
-        out["lambda1"] = eig.lam
-        out["lambda2"] = eig.lam
-        out["delta_T"] = 0.0
-    ortho = ortho_structure(rt)
-    if isinstance(ortho, DistinctRealOrtho):
-        out["delta_R"] = ortho.delta_r
+    out = {"rho": rt.rho1, "classification": transient_summary(rt).classification.value}
+    eig = _record_out(eigen_structure(rt))
+    if eig["kind"] == "repeated_defective":  # one eigenline: lambda1 = lambda2, delta_T = 0
+        eig.update(lambda1=eig["lambda"], lambda2=eig["lambda"], delta_T=0.0)
+    found = {**_record_out(ortho_structure(rt)), **eig}
+    keys = ("lambda1", "lambda2", "theta1", "theta2", "delta_T", "delta_R")
+    out.update((k, found[k]) for k in keys if k in found)
     return out
 
 

@@ -181,9 +181,6 @@ class Mat2:
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a11, self.a21, self.a12, self.a22)
-
     def apply(self, x1: float, x2: float) -> tuple[float, float]:
         """Matrix-vector product A (x1, x2)."""
         return (self.a11 * x1 + self.a12 * x2, self.a21 * x1 + self.a22 * x2)

@@ -75,6 +75,7 @@ __all__ = [
     "sweep_rotation_rates",
     "GROWTH_SLOPE_THRESHOLD",
     "MAX_SWEEP_POINTS",
+    "MAX_GRID_STEPS",
 ]
 
 # log-norm slope above which a trajectory counts as growing; robust to
@@ -83,6 +84,14 @@ GROWTH_SLOPE_THRESHOLD = 1e-3
 # Most rates one sweep_rotation_rates call takes: its log-norm array holds
 # up to 514 floats per rate, so 10^4 rates take about 41 MB.
 MAX_SWEEP_POINTS = 10_000
+# Most steps one integrator call takes: each sample array holds a float per
+# step, so 4 * 10^6 steps take 32 MB an array, and integrate_polar works
+# with about a dozen such arrays.
+MAX_GRID_STEPS = 4_000_000
+# 2pi split Cody-Waite style: _TAU_HI has 31 significant bits, so k _TAU_HI
+# is exact for an integer |k| < 2^22, and _TAU_LO = 2pi - _TAU_HI.
+_TAU_HI = 6.2831853069365025
+_TAU_LO = 2.430840202602477e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +101,12 @@ class Trajectory:
     theta is rebuilt from the samples as accumulated phase: the first
     value is arctan2(x2, x1), in (-pi, pi], and later ones are unwrapped,
     never reduced mod 2pi, so winding counts and mean angular speeds can
-    be read off directly.
+    be read off directly.  Each sample's arctan2 a gains k whole turns, k
+    the running sum of the rounded jumps -diff(a) / 2pi, as
+    k _TAU_HI + (a + k _TAU_LO).  k _TAU_HI is exact while |k| < 2^22
+    (theta below about 2.6e7 rad), so theta is within an ulp of the
+    samples' exact unwrapped angle, plus arctan2's own rounding, however
+    many turns came before.
     """
 
     t: np.ndarray
@@ -109,7 +123,10 @@ class Trajectory:
     @property
     def theta(self) -> np.ndarray:
         import numpy as np
-        return np.unwrap(np.arctan2(self.x2, self.x1))
+        a = np.arctan2(self.x2, self.x1)
+        k = np.zeros_like(a)
+        np.cumsum(np.rint(np.diff(a) / -math.tau), out=k[1:])
+        return k * _TAU_HI + (a + k * _TAU_LO)
 
 
 def _trajectory(ts: np.ndarray, xs, ys, step: float, method: str) -> Trajectory:
@@ -118,7 +135,11 @@ def _trajectory(ts: np.ndarray, xs, ys, step: float, method: str) -> Trajectory:
 
 
 def _grid(step: float, t_end: float) -> tuple[int, float]:
-    """Number of full steps and the partial final step (0 if none)."""
+    """Number of full steps and the partial final step (0 if none); more
+    than MAX_GRID_STEPS steps raise InvalidInputError."""
+    if not t_end / step <= MAX_GRID_STEPS:  # inf included
+        raise InvalidInputError(
+            f"t_end / step = {t_end!r} / {step!r} is more than {MAX_GRID_STEPS} steps")
     n_full = int(math.floor(t_end / step + 1e-9))
     rem = t_end - n_full * step
     return n_full, rem if rem > 1e-12 * t_end else 0.0
@@ -163,8 +184,7 @@ def _stage_push(rhs, h):
 
     S is linear in the state, so pushing e1 and e2 through the four
     stages gives its columns; the increment h/6 (k1 + 2 k2 + 2 k3 + k4)
-    is kept apart from the identity.  rhs, h and the result may hold
-    floats or numpy arrays (one matrix per element).
+    is kept apart from the identity.
     """
 
     def push(x, y):
@@ -194,8 +214,7 @@ def _rk4_increment(a11, a12, a21, a22, h):
     scales with the O(h) increment instead.  The stages are evaluated
     in the same order as the co-rotating ones of _corotating_increment,
     so that at spin rate 0 both give the same bits, which block powers
-    would otherwise magnify.  The entries and h may be floats or numpy
-    arrays, giving one matrix per element.
+    would otherwise magnify.
     """
     return _stage_push(lambda _t, u, v: (a11 * u + a12 * v, a21 * u + a22 * v), h)
 

@@ -37,7 +37,7 @@ from reactlin import (
     rotation_matrix,
     sweep_rotation_rates,
 )
-from reactlin.dynamics import MAX_SWEEP_POINTS
+from reactlin.dynamics import MAX_GRID_STEPS, MAX_SWEEP_POINTS, _grid
 from conftest import A_SPIRAL, A_TRIANGULAR
 
 RT = decompose(A_SPIRAL)
@@ -180,3 +180,25 @@ def test_sweep_count_is_bounded():
         with pytest.raises(InvalidInputError) as exc:
             sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, bad)
         assert str(exc.value) == f"need at most {MAX_SWEEP_POINTS} sweep points, got {bad!r}"
+
+
+# (function, call): call(step, t_end) runs the integrator on that grid.
+GRID_CASES = [
+    ("integrate_linear", lambda h, t: integrate_linear(A_TRIANGULAR, (1.0, 0.0), h, t)),
+    ("integrate_polar", lambda h, t: integrate_polar(RT, 1.0, 0.0, h, t)),
+    ("integrate_nonaut", lambda h, t: integrate_nonaut(CFG, (1.0, 0.0), h, t)),
+]
+
+
+@pytest.mark.parametrize("name, call", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+@pytest.mark.parametrize("step, t_end", [(1e-9, 10.0), (1.0, MAX_GRID_STEPS + 1.0), (5e-324, 1e308)],
+                         ids=["1e10-steps", "one-too-many", "ratio-overflows"])
+def test_integrator_grid_is_bounded(name, call, step, t_end):
+    # refused before any array is allocated
+    with pytest.raises(InvalidInputError) as exc:
+        call(step, t_end)
+    assert str(exc.value) == f"t_end / step = {t_end!r} / {step!r} is more than {MAX_GRID_STEPS} steps"
+
+
+def test_integrator_grid_bound_is_inclusive():
+    assert _grid(1.0, float(MAX_GRID_STEPS)) == (MAX_GRID_STEPS, 0.0)

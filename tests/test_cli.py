@@ -8,7 +8,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from reactlin import AngleModPi, Mat2, RTParams, decompose, eigen_structure, ortho_structure
 from reactlin.cli import main
+from reactlin.spectra import (
+    AllOrtho,
+    ComplexPairEigen,
+    DistinctRealEigen,
+    DistinctRealOrtho,
+    NoRealOrtho,
+    RepeatedDefectiveEigen,
+    RepeatedFullEigen,
+    RepeatedOrtho,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +133,50 @@ class TestAnalyze:
         assert exc.value.code == 2
 
 
+# Each record's (JSON key, record field) pairs, in report order.
+BLOCK_FIELDS = {
+    RTParams: [("m_R", "m_r"), ("m_T", "m_t"), ("p", "p"), ("theta_R", "theta_r")],
+    DistinctRealEigen: [("lambda1", "lambda1"), ("lambda2", "lambda2"), ("theta1", "theta1"),
+                        ("theta2", "theta2"), ("delta_T", "delta_t"), ("p_R", "p_r")],
+    ComplexPairEigen: [("re", "re"), ("im", "im")],
+    RepeatedFullEigen: [("lambda", "lam")],
+    RepeatedDefectiveEigen: [("lambda", "lam"), ("theta0", "theta0")],
+    DistinctRealOrtho: [("mu1", "mu1"), ("mu2", "mu2"), ("phi1", "phi1"), ("phi2", "phi2"),
+                        ("delta_R", "delta_r"), ("p_T", "p_t")],
+    NoRealOrtho: [],
+    AllOrtho: [("mu", "mu")],
+    RepeatedOrtho: [("mu", "mu"), ("phi0", "phi0")],
+}
+
+
+@pytest.mark.parametrize(
+    "entries, eigen_kind, ortho_kind",
+    [
+        ("-1 -8 0 -3", "distinct_real", "distinct_real"),
+        ("0.7 -4 4 -4.7", "complex_pair", "distinct_real"),
+        ("-1 2 0 -1", "repeated_defective", "repeated_ortho"),
+        ("0 0 0 0", "repeated_full", "all_ortho"),
+        ("0 -1 1 0", "complex_pair", "all_ortho"),
+        ("1 0 0 1", "repeated_full", "no_real"),
+    ],
+)
+def test_structure_blocks_are_the_records(capsys, schema, entries, eigen_kind, ortho_kind):
+    # exact key order, which keys each kind has, and each value the
+    # record's field (an angle's .value); theta_R is absent when p = 0
+    code, out, _ = run_cli(capsys, "analyze", "--", *entries.split())
+    assert code == 0
+    report = json.loads(out)
+    validate(schema, report)
+    rt = decompose(Mat2(*map(float, entries.split())))
+    for block, record, kind in [("rt", rt, None), ("eigen", eigen_structure(rt), eigen_kind),
+                                ("ortho", ortho_structure(rt), ortho_kind)]:
+        fields = [(key, getattr(record, name)) for key, name in BLOCK_FIELDS[type(record)]]
+        want = {} if kind is None else {"kind": kind}
+        want.update((key, v.value if isinstance(v, AngleModPi) else v)
+                    for key, v in fields if v is not None)
+        assert list(report[block].items()) == list(want.items())
+
+
 class TestPortrait:
     def test_identity_flat_curves(self, capsys):
         code, out, _ = run_cli(capsys, "portrait", "--n", "4", "1", "0", "0", "1")
@@ -218,6 +273,14 @@ class TestTrajectory:
         )
         assert code == 2 and out == "" and "x0" in err
 
+    @pytest.mark.parametrize("argv", [["--step", "1e-9"], ["--k", "-4", "--step", "1e-9"], []],
+                             ids=["tiny-step", "tiny-step-nonaut", "bullseye-1e6-default-step"])
+    def test_oversized_grid_exits_2_at_once(self, capsys, argv):
+        # the default step on the bullseye times 1e6 asks for about 8e10 steps
+        entries = ["-1e6", "-8e6", "0", "-3e6"] if not argv else ["-1", "-8", "0", "-3"]
+        code, out, err = run_cli(capsys, "trajectory", *argv, "--t-end", "10", "--", *entries)
+        assert code == 2 and out == "" and "is more than 4000000 steps" in err
+
     def test_nonaut_needs_reactive_attractor(self, capsys):
         code, _, err = run_cli(
             capsys, "trajectory", "--k", "1.0", "--", "-3", "0.1", "0", "-3"
@@ -297,6 +360,30 @@ class TestSynthesize:
         assert report["matrix"][0][0] == pytest.approx(-2.414213562373096)
         assert report["measured"]["rho"] == pytest.approx(1.0, rel=1e-12)
         assert report["measured"]["delta_R"] == pytest.approx(math.pi / 8, rel=1e-9)
+
+    @pytest.mark.parametrize("delta_t", ["0.39", "0"])
+    def test_deltas_measured_block_is_the_records(self, capsys, schema, delta_t):
+        # --delta-t 0 builds a defective matrix: lambda1 == lambda2,
+        # delta_T is 0 and there are no eigenline angles
+        code, out, _ = run_cli(
+            capsys, "synthesize", "deltas", "--delta-r", "0.39", "--delta-t", delta_t, "--rho", "1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        validate(schema, report)
+        rt = decompose(Mat2(*report["matrix"][0], *report["matrix"][1]))
+        eig, ortho = eigen_structure(rt), ortho_structure(rt)
+        assert isinstance(ortho, DistinctRealOrtho)
+        want = {"rho": rt.rho1, "classification": "reactive_attractor"}
+        if delta_t == "0":
+            assert isinstance(eig, RepeatedDefectiveEigen)
+            want.update(lambda1=eig.lam, lambda2=eig.lam, delta_T=0.0)
+        else:
+            assert isinstance(eig, DistinctRealEigen)
+            want.update(lambda1=eig.lambda1, lambda2=eig.lambda2, theta1=eig.theta1.value,
+                        theta2=eig.theta2.value, delta_T=eig.delta_t)
+        want["delta_R"] = ortho.delta_r
+        assert list(report["measured"].items()) == list(want.items())
 
     def test_eigenvalue_mode_verification_block(self, capsys, schema):
         code, out, _ = run_cli(

@@ -85,15 +85,6 @@ class TestRk4Kernel:
             want = self.reference_columns(a.a11, a.a12, a.a21, a.a22, h)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
 
-    def test_step_matrix_matches_stages_for_arrays(self, rng):
-        entries = rng.uniform(-3, 3, size=(4, 50))
-        h = rng.uniform(1e-4, 0.3, size=50)
-        e = _rk4_increment(*entries, h)
-        got = np.array([1.0 + e[0], e[1], e[2], 1.0 + e[3]])
-        assert got.shape == (4, 50)
-        want = np.array(self.reference_columns(*entries, h))
-        assert np.abs(got - want).max() <= 1e-14
-
     def test_zero_rate_corotating_increment_is_bit_identical(self, rng):
         # block powers would magnify even a 1-ulp gap between the two, and
         # `trajectory --k 0` must reproduce `trajectory` byte for byte
@@ -274,6 +265,27 @@ class TestIntegrateLinear:
         assert np.all(np.diff(traj.t) > 0)
         assert np.allclose(np.diff(traj.t)[:-1], 1e-3)
         assert np.all(traj.r > 0)
+
+    def test_unwrapped_theta_is_within_an_ulp_of_the_samples(self):
+        # 36,000 steps of a growing spiral, theta reaching 143 over 23
+        # turns: every rebuilt angle against mpmath's atan2 of the same
+        # sample, unwrapped by whole turns at 40 digits, is off by at most
+        # an ulp of theta plus arctan2's own rounding (an ulp of pi)
+        mpmath = pytest.importorskip("mpmath")
+        traj = integrate_linear(Mat2(1.5, -4.0, 4.0, 0.5), (1.0, 0.0), 1e-3, 36.0)
+        theta = traj.theta
+        assert theta[-1] > 140.0
+        worst = 0.0
+        with mpmath.workdps(40):
+            tau, turns, prev = 2 * mpmath.pi, 0, None
+            for x, y, got, ulp in zip(traj.x1.tolist(), traj.x2.tolist(), theta.tolist(),
+                                      np.spacing(np.abs(theta)).tolist()):
+                a = mpmath.atan2(y, x)
+                if prev is not None:
+                    turns += int(mpmath.nint((prev - a) / tau))
+                prev = a
+                worst = max(worst, float(abs(got - (a + turns * tau))) / (ulp + np.spacing(np.pi)))
+        assert worst <= 1.0
 
     def test_overflow_is_numeric_failure(self):
         with pytest.raises(NumericFailureError):
