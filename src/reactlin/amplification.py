@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, Mat2, RTParams, _norm_mod_pi, _real, decompose, reflect_conjugate
-from .dynamics import _rk4_increment, default_step, matrix_exponential
+from .core import (AngleModPi, Mat2, RTParams, _norm_mod_pi, _real, decompose,
+                   matrix_exponential, reflect_conjugate)
 from .errors import InapplicableError, NumericFailureError
 from .spectra import DistinctRealEigen, _eigen_case, _reactive_arc, _require_reactive_attractor
 
@@ -230,6 +230,7 @@ def _exit_root(
     step would leave it (g can peak inside a coarse step).  The root's
     angle must lie within EXIT_ANGLE_TOL of target.
     """
+    from .dynamics import _rk4_increment  # the integrators load on first use
     g = [cos_t * y0 - sin_t * x0]
     u, v = x0, y0
     for k in (1, 2, 3, 4):  # (u, v) = A^k x0 / k!
@@ -279,6 +280,7 @@ def rho_max_numeric(a: Mat2, step: float | None = None) -> AmplificationResult:
     step is the RK4 time step; the default scales 1e-4 by the system's
     fastest rate (see default_step).
     """
+    from .dynamics import _rk4_increment, default_step
     rt, reflected = _reactive_rt(a)
     p_t, delta_r = _reactive_arc(rt.m_r, rt.m_t, rt.p)
     if rt.m_t - p_t <= 0.0:

@@ -21,13 +21,6 @@ import sys
 from . import __version__
 from .amplification import rho_max_bound_eigen, rho_max_bound_ortho, rho_max_closed
 from .core import AngleModPi, Mat2, decompose, eval_radial, eval_tangential
-from .dynamics import (
-    NonautConfig,
-    default_step,
-    integrate_linear,
-    integrate_nonaut,
-    sweep_rotation_rates,
-)
 from .errors import InapplicableError, InvalidInputError, NumericFailureError
 from .forms import to_r_centered, to_r_zeroed, to_t_centered, to_t_zeroed
 from .spectra import (
@@ -47,6 +40,9 @@ from .spectra import (
 from .synthesis import attractor_with_eigenvalues, attractor_with_eigenvectors, from_deltas
 
 SCHEMA_VERSION = "2"
+# Most angle samples one portrait takes: each row is held as a tuple of five
+# floats and as CSV text, about 0.4 KB, so 10^5 samples take about 40 MB.
+MAX_PORTRAIT_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    if args.n < 4:
-        raise InvalidInputError(f"need at least 4 samples, got {args.n}")
+    if not 4 <= args.n <= MAX_PORTRAIT_SAMPLES:
+        raise InvalidInputError(f"need 4 to {MAX_PORTRAIT_SAMPLES} samples, got {args.n}")
     a = Mat2(*args.matrix)
     rt = decompose(a)
     rows = []
@@ -210,13 +206,20 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    from .dynamics import (MAX_GRID_STEPS, NonautConfig, default_step, integrate_linear,
+                           integrate_nonaut)
     a = Mat2(*args.matrix)
     step = args.step
     if step is None:  # a spin k is a rate too: the RK4 stages sample cos(kt)
         spin = 1e-3 / abs(args.k) if args.k else math.inf
         step = min(default_step(decompose(a), 1e-3), spin)
-    if args.k is not None:
-        traj = integrate_nonaut(NonautConfig(a, args.k), tuple(args.x0), step, args.t_end)
+    cfg = None if args.k is None else NonautConfig(a, args.k)  # refuses before the grid
+    if args.step is None and math.isfinite(args.t_end) and args.t_end / step > MAX_GRID_STEPS:
+        raise InvalidInputError(
+            f"t_end / default step = {args.t_end!r} / {step!r} is more than {MAX_GRID_STEPS}"
+            " steps; pass a coarser --step or a shorter --t-end")
+    if cfg is not None:
+        traj = integrate_nonaut(cfg, tuple(args.x0), step, args.t_end)
     else:
         traj = integrate_linear(a, tuple(args.x0), step, args.t_end)
     rows = zip(
@@ -227,6 +230,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
+    from .dynamics import sweep_rotation_rates
     a = Mat2(*args.matrix)
     res = sweep_rotation_rates(
         a, args.k_min, args.k_max, args.n, step=args.step, t_end=args.t_end

@@ -14,7 +14,9 @@ and both coefficients are pi-periodic sinusoids sharing one amplitude:
 The four numbers (m_R, m_T, p, theta_R) encode A exactly, and this
 module owns that bijection plus the small set of exact matrix moves
 (rotation conjugation, axis reflection) the rest of the package is
-built on.  R is the instantaneous radial growth rate, T the angular
+built on, with the closed-form e^{At} that certifies rho_max_closed and
+checks the integrators (kept here so that the analytic layers never
+import dynamics).  R is the instantaneous radial growth rate, T the angular
 velocity, so everything about transient amplification is readable from
 these two curves.
 
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "reflect_conjugate",
     "rotation_matrix",
     "symmetric_part_reactivity",
+    "matrix_exponential",
 ]
 
 # Fraction of the rate scale (see _scale) at or below which the shared
@@ -366,3 +369,46 @@ def symmetric_part_reactivity(a: Mat2) -> float:
     import numpy as np
     arr = a.as_array()
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[-1])
+
+
+def matrix_exponential(a: Mat2, t: float) -> Mat2:
+    """Closed-form e^{At} by spectral case.
+
+    With m the mean eigenvalue and d = m^2 - det(A) the squared
+    half-separation, e^{At} = e^{mt} (c I + s (A - m I)) where (c, s)
+    are cosh/sinh-type pair for d > 0, cos/sin-type for d < 0, and the
+    shared series limit near the repeated-eigenvalue boundary.  For
+    d > 0 the factor e^{mt} goes inside the pair, which then takes one
+    exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
+    overflow where e^{At} itself is small.
+    """
+    t = _real("time", t)
+    m = 0.5 * a.trace()
+    d = m * m - a.det()
+    x2 = d * t * t
+    try:
+        if x2 > 1e-8:
+            w = math.sqrt(d)
+            tau = w * abs(t)
+            g = math.exp(m * t + tau)
+            c = 0.5 * g * (1.0 + math.exp(-2.0 * tau))
+            s = math.copysign(-0.5 * g * math.expm1(-2.0 * tau) / w, t)
+        elif x2 < -1e-8:
+            w = math.sqrt(-d)
+            c = math.cos(w * t)
+            s = math.sin(w * t) / w
+        else:
+            c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
+            s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
+        e = 1.0 if x2 > 1e-8 else math.exp(m * t)
+    except (OverflowError, ValueError) as exc:  # ValueError: cos(inf) when det A overflows
+        raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
+    entries = (
+        e * (c + s * (a.a11 - m)),
+        e * s * a.a12,
+        e * s * a.a21,
+        e * (c + s * (a.a22 - m)),
+    )
+    if not all(map(math.isfinite, entries)):
+        raise NumericFailureError(f"e^(At) overflows at t = {t!r}")
+    return Mat2(*entries)

@@ -5,8 +5,9 @@ fields need nothing adaptive).  On a linear field one RK4 step is the
 fixed matrix P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the
 Cartesian integrators precompute its first 256 powers, step only every
 256th state in sequence and fill the states between with one batched
-product, x_{b+j} = x_b + (P^j - I) x_b; a closed-form matrix exponential
-serves as their independent oracle.  The polar route integrates
+product, x_{b+j} = x_b + (P^j - I) x_b; the closed-form matrix
+exponential (core.matrix_exponential, re-exported here) serves as their
+independent oracle.  The polar route integrates
 dr/dt = r R(theta), dtheta/dt = T(theta) by RK4.  Only the angle is
 sequential: its RK4 steps form a recurrence theta_{n+1} = Phi(theta_n),
 and each RK4 step multiplies r by a factor that depends only on the
@@ -35,7 +36,9 @@ takes them from the matrix exponential instead of time-stepping.
 
 numpy is imported only inside the functions that build or read arrays,
 never when the module is imported; the polar solver's own code (_polar)
-is imported on the first integrate_polar call.
+is imported on the first integrate_polar call.  This module itself loads
+on first use: through reactlin.__getattr__, or inside the amplification
+and cli functions that need it, so the analytic layers never compile it.
 """
 
 from __future__ import annotations
@@ -44,14 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import (
-    Mat2,
-    QUARTER_TURN,
-    RTParams,
-    _real,
-    decompose,
-    rotate_conjugate,
-)
+from .core import (Mat2, QUARTER_TURN, RTParams, _real, decompose, matrix_exponential,
+                   rotate_conjugate)
 from .errors import InvalidInputError, NumericFailureError
 from .spectra import _reactive_arc, _require_reactive_attractor
 
@@ -321,49 +318,6 @@ def integrate_linear(
         lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h), x0, step, t_end
     )
     return _trajectory(ts, xs, ys, step, "rk4")
-
-
-def matrix_exponential(a: Mat2, t: float) -> Mat2:
-    """Closed-form e^{At} by spectral case.
-
-    With m the mean eigenvalue and d = m^2 - det(A) the squared
-    half-separation, e^{At} = e^{mt} (c I + s (A - m I)) where (c, s)
-    are cosh/sinh-type pair for d > 0, cos/sin-type for d < 0, and the
-    shared series limit near the repeated-eigenvalue boundary.  For
-    d > 0 the factor e^{mt} goes inside the pair, which then takes one
-    exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
-    overflow where e^{At} itself is small.
-    """
-    t = _real("time", t)
-    m = 0.5 * a.trace()
-    d = m * m - a.det()
-    x2 = d * t * t
-    try:
-        if x2 > 1e-8:
-            w = math.sqrt(d)
-            tau = w * abs(t)
-            g = math.exp(m * t + tau)
-            c = 0.5 * g * (1.0 + math.exp(-2.0 * tau))
-            s = math.copysign(-0.5 * g * math.expm1(-2.0 * tau) / w, t)
-        elif x2 < -1e-8:
-            w = math.sqrt(-d)
-            c = math.cos(w * t)
-            s = math.sin(w * t) / w
-        else:
-            c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-            s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-        e = 1.0 if x2 > 1e-8 else math.exp(m * t)
-    except (OverflowError, ValueError) as exc:  # ValueError: cos(inf) when det A overflows
-        raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
-    entries = (
-        e * (c + s * (a.a11 - m)),
-        e * s * a.a12,
-        e * s * a.a21,
-        e * (c + s * (a.a22 - m)),
-    )
-    if not all(map(math.isfinite, entries)):
-        raise NumericFailureError(f"e^(At) overflows at t = {t!r}")
-    return Mat2(*entries)
 
 
 def integrate_polar(

@@ -208,6 +208,13 @@ class TestPortrait:
         code, _, err = run_cli(capsys, "portrait", "--n", "3", "1", "0", "0", "1")
         assert code == 2 and "error:" in err
 
+    def test_too_many_samples_exits_2_at_once(self, capsys):
+        # 10^11 rows would exhaust memory; the bound refuses before any is built
+        code, out, err = run_cli(capsys, "portrait", "--n", "100000000000", "1", "0", "0", "1")
+        assert code == 2 and out == "" and "need 4 to 100000 samples" in err
+        code, out, _ = run_cli(capsys, "portrait", "--n", "100000", "1", "0", "0", "1")
+        assert code == 0 and out.count("\n") == 100001
+
 
 class TestTrajectory:
     def test_rotation_field_stays_on_unit_circle(self, capsys):
@@ -280,6 +287,8 @@ class TestTrajectory:
         entries = ["-1e6", "-8e6", "0", "-3e6"] if not argv else ["-1", "-8", "0", "-3"]
         code, out, err = run_cli(capsys, "trajectory", *argv, "--t-end", "10", "--", *entries)
         assert code == 2 and out == "" and "is more than 4000000 steps" in err
+        # a refused default step is named as such, with the options that avoid it
+        assert ("default step" in err and "--step" in err and "--t-end" in err) == (not argv)
 
     def test_nonaut_needs_reactive_attractor(self, capsys):
         code, _, err = run_cli(
@@ -438,18 +447,24 @@ class TestDiagnostics:
 
 
 class TestColdPath:
-    """The analytic commands must not import numpy; start-up is their whole cost."""
+    """The analytic commands must import neither numpy nor the integrators
+    (dynamics, _polar); start-up is their whole cost."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"
         "import reactlin, reactlin.cli\n"
+        "def loaded():\n"
+        "    print(*(m in sys.modules for m in ('numpy', 'reactlin.dynamics', 'reactlin._polar')),"
+        " sep=',')\n"
+        "loaded()\n"
         "for argv in {cases!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert reactlin.cli.main(argv) == 0, argv\n"
-        "    print('numpy' in sys.modules)\n"
+        "    loaded()\n"
     )
 
     def run_fresh(self, cases):
+        """numpy, dynamics, _polar loaded: after the import, then after each case."""
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.format(cases=cases)],
             capture_output=True, text=True, check=True, timeout=60,
@@ -464,8 +479,55 @@ class TestColdPath:
             ["portrait", "--n", "16", "--", "-1", "-8", "0", "-3"],
             ["synthesize", "deltas", "--delta-r", "0.39", "--delta-t", "0.39", "--rho", "1"],
         ]
-        assert self.run_fresh(cases) == ["False"] * len(cases)
+        assert self.run_fresh(cases) == ["False,False,False"] * (len(cases) + 1)
 
     def test_trajectory_loads_numpy(self):
-        cases = [["trajectory", "--t-end", "0.1", "--", "-1", "-8", "0", "-3"]]
-        assert self.run_fresh(cases) == ["True"]
+        cases = [
+            ["trajectory", "--t-end", "0.1", "--", "-1", "-8", "0", "-3"],
+            ["sweep-k", "--k-min", "-8", "--k-max", "0", "--n", "4", "--step", "0.1",
+             "--t-end", "1", "--", "0.7", "-4", "4", "-4.7"],
+        ]
+        assert self.run_fresh(cases) == ["False,False,False"] + ["True,True,False"] * 2
+
+    # The package's public names before the integrators were loaded lazily.
+    PUBLIC = [
+        "AllOrtho", "AmplificationMethod", "AmplificationResult", "AngleModPi",
+        "AngularEquilibrium", "AngularPhaseLine", "Classification", "ComplexPairEigen",
+        "DistinctRealEigen", "DistinctRealOrtho", "EigenStructure", "InapplicableError",
+        "InvalidInputError", "Mat2", "NoRealOrtho", "NonautConfig", "NumericFailureError",
+        "OrthoStructure", "QUARTER_TURN", "RTParams", "ReactlinError", "RepeatedDefectiveEigen",
+        "RepeatedFullEigen", "RepeatedOrtho", "Stability", "StandardFormKind",
+        "StandardFormResult", "SweepPoint", "SweepResult", "Trajectory", "TransientSummary",
+        "amplification", "angle_distance_mod_pi", "angular_phase_line",
+        "attractor_with_eigenvalues", "attractor_with_eigenvectors", "core", "corotating_matrix",
+        "decompose", "default_step", "dynamics", "eigen_structure", "errors", "eval_radial",
+        "eval_tangential", "forms", "from_deltas", "integrate_linear", "integrate_nonaut",
+        "integrate_polar", "log_norm_slope", "matrix_exponential", "nonaut_matrix",
+        "ortho_structure", "reconstruct", "reflect_conjugate", "repulsion_window",
+        "rho_max_bound_eigen", "rho_max_bound_ortho", "rho_max_closed",
+        "rho_max_from_eigen_ortho", "rho_max_from_midlines", "rho_max_from_separations",
+        "rho_max_numeric", "rotate_conjugate", "rotation_matrix", "spectra",
+        "sweep_rotation_rates", "symmetric_part_reactivity", "synthesis", "to_r_centered",
+        "to_r_zeroed", "to_t_centered", "to_t_zeroed", "transient_summary", "verify_form",
+    ]
+
+    def test_lazy_names_are_the_dynamics_objects(self):
+        import reactlin
+        import reactlin.core
+        import reactlin.dynamics
+
+        script = "import reactlin; print(*(n for n in dir(reactlin) if n[0] != '_'))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert proc.stdout.split() == self.PUBLIC
+        star: dict = {}
+        exec("from reactlin import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == self.PUBLIC
+        assert all(star[name] is getattr(reactlin, name) for name in self.PUBLIC)
+        for name in reactlin._DYNAMICS:
+            assert getattr(reactlin, name) is getattr(reactlin.dynamics, name), name
+        assert reactlin.dynamics is reactlin.__getattr__("dynamics")
+        assert reactlin.core.matrix_exponential is reactlin.dynamics.matrix_exponential
+        assert reactlin.matrix_exponential is reactlin.core.matrix_exponential
+        with pytest.raises(AttributeError, match="no_such_name"):
+            reactlin.no_such_name
