@@ -25,10 +25,9 @@ m_T >= 0 may be assumed and both orthovalues are then positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import (AngleModPi, Mat2, RTParams, _norm_mod_pi, _real, decompose,
+from .core import (AngleModPi, Mat2, RTParams, _norm_mod_pi, _real, _record, decompose,
                    matrix_exponential, reflect_conjugate)
 from .errors import InapplicableError, NumericFailureError
 from .spectra import DistinctRealEigen, _eigen_case, _reactive_arc, _require_reactive_attractor
@@ -54,7 +53,7 @@ class AmplificationMethod(Enum):
     NUMERIC_SWEEP = "numeric_sweep"
 
 
-@dataclass(frozen=True)
+@_record
 class AmplificationResult:
     """Maximal amplification and how it is hit.
 

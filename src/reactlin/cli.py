@@ -13,7 +13,6 @@ _record_out: a record's field names, with the paper's capital subscripts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -126,10 +125,10 @@ def _record_out(record) -> dict:
     """A record's fields in order, renamed by _KEYS, angles as their value
     and None fields dropped, after its kind when _KINDS has one."""
     out = {"kind": _KINDS[type(record)]} if type(record) in _KINDS else {}
-    for field in dataclasses.fields(record):
-        v = getattr(record, field.name)
+    for name in record.__match_args__:
+        v = getattr(record, name)
         if v is not None:
-            out[_KEYS.get(field.name, field.name)] = v.value if isinstance(v, AngleModPi) else v
+            out[_KEYS.get(name, name)] = v.value if isinstance(v, AngleModPi) else v
     return out
 
 

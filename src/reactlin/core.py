@@ -21,13 +21,16 @@ velocity, so everything about transient amplification is readable from
 these two curves.
 
 All types are immutable values and all functions are pure; they are
-safe to call concurrently without synchronization.
+safe to call concurrently without synchronization.  The record types of
+the package are declared with _record, a frozen dataclass without the
+dataclasses import: their __init__ is generated as dataclasses writes it,
+and dataclasses introspection (fields, replace, asdict) loads dataclasses
+on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, NumericFailureError
@@ -108,13 +111,82 @@ def _real(label: str, v, positive: bool = False) -> float:
     return x
 
 
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self.__match_args__])
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Fields:
+    """A record's __dataclass_fields__, which dataclasses.fields, replace,
+    asdict and is_dataclass read: on first read it is taken from
+    dataclasses.make_dataclass over the same fields and defaults, and
+    cached on the class."""
+
+    def __get__(self, instance, owner: type) -> dict:
+        import dataclasses
+        spec = [(n, owner.__annotations__[n], dataclasses.field(default=owner.__dict__[n]))
+                if n in owner.__dict__ else (n, owner.__annotations__[n])
+                for n in owner.__match_args__]
+        fields = dataclasses.make_dataclass(owner.__name__, spec).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+def _record(cls=None, /, *, eq: bool = True):
+    """Class decorator standing in for @dataclass(frozen=True, eq=eq) without
+    importing dataclasses: a generated __init__ with the body dataclasses
+    writes (each annotated field in order, its class default, then any
+    __post_init__), and shared __repr__, __eq__, __hash__ and frozen
+    __setattr__/__delattr__ over the field tuple __match_args__."""
+    if cls is None:
+        return lambda c: _record(c, eq=eq)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    params = "".join(f", {n}=_d[{n!r}]" if n in cls.__dict__ else f", {n}" for n in names)
+    body = "".join(f"\n    _setattr(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    scope: dict = {}
+    exec(f"def __init__(self{params}):{body or ' pass'}",
+         {"_setattr": object.__setattr__, "_d": cls.__dict__}, scope)
+    cls.__init__, cls.__match_args__, cls.__repr__ = scope["__init__"], names, _repr
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if eq:
+        cls.__eq__, cls.__hash__ = _eq, _hash
+    cls.__dataclass_fields__ = _Fields()
+    return cls
+
+
 def angle_distance_mod_pi(a: float, b: float) -> float:
     """Distance between two angles identified modulo pi, in [0, pi/2]."""
     d = _norm_mod_pi(_real("a", a) - _real("b", b))
     return min(d, math.pi - d)
 
 
-@dataclass(frozen=True)
+@_record
 class AngleModPi:
     """An angle of a pi-periodic quantity, normalized to [0, pi).
 
@@ -141,7 +213,7 @@ class AngleModPi:
         return angle_distance_mod_pi(self.value, o)
 
 
-@dataclass(frozen=True)
+@_record
 class Mat2:
     """Real 2x2 coefficient matrix of the system X' = AX.
 
@@ -212,14 +284,15 @@ class Mat2:
 QUARTER_TURN = Mat2(0.0, -1.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@_record
 class RTParams:
     """The four decomposition parameters of a planar linear field.
 
     m_r, m_t   midlines of R and T (1/time); m_r is half the trace.
     p          shared sinusoid amplitude, p >= 0 (1/time).
     theta_r    angle of the maximum of R, present exactly when p > 0
-               (for p = 0 both curves are flat and no phase exists).
+               (for p = 0 both curves are flat and no phase exists);
+               a real number is taken as AngleModPi of it.
     """
 
     m_r: float
@@ -228,12 +301,15 @@ class RTParams:
     theta_r: AngleModPi | None = None
 
     def __post_init__(self) -> None:
-        m_r, m_t, p = self.m_r, self.m_t, self.p
+        m_r, m_t, p, theta_r = self.m_r, self.m_t, self.p, self.theta_r
         if (type(m_r) is type(m_t) is type(p) is float and math.isfinite(m_r) and math.isfinite(m_t)
-                and math.isfinite(p) and (p > 0.0 if self.theta_r is not None else p == 0.0)):
+                and math.isfinite(p)
+                and (p == 0.0 if theta_r is None else p > 0.0 and type(theta_r) is AngleModPi)):
             return
         for name in ("m_r", "m_t", "p"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if theta_r is not None and not isinstance(theta_r, AngleModPi):
+            object.__setattr__(self, "theta_r", AngleModPi(_real("theta_r", theta_r)))
         if self.p < 0.0:
             raise InvalidInputError(f"amplitude p must be >= 0, got {self.p}")
         if (self.theta_r is None) != (self.p == 0.0):

@@ -44,11 +44,10 @@ and cli functions that need it, so the analytic layers never compile it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import (Mat2, QUARTER_TURN, RTParams, _real, decompose, matrix_exponential,
-                   rotate_conjugate)
+from .core import (Mat2, QUARTER_TURN, RTParams, _real, _record, decompose,
+                   matrix_exponential, rotate_conjugate)
 from .errors import InvalidInputError, NumericFailureError
 from .spectra import _reactive_arc, _require_reactive_attractor
 
@@ -91,7 +90,7 @@ _TAU_HI = 6.2831853069365025
 _TAU_LO = 2.430840202602477e-10
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class Trajectory:
     """Uniformly sampled solution states (a final partial step may occur).
 
@@ -350,7 +349,7 @@ def integrate_polar(
 # rotating nonautonomous systems
 
 
-@dataclass(frozen=True)
+@_record
 class NonautConfig:
     """A frozen reactive attractor spun at constant angular rate k.
 
@@ -471,15 +470,21 @@ def log_norm_slope(t: np.ndarray, log_norms: np.ndarray) -> float:
     return float(tm @ (yy - yy.mean())) / denom
 
 
-@dataclass(frozen=True)
+@_record
 class SweepPoint:
+    """One spin rate k of a sweep: its log-norm slope, and whether that counts as growth."""
+
     k: float
     log_slope: float
     growing: bool
 
 
-@dataclass(frozen=True)
+@_record
 class SweepResult:
+    """A sweep's points with the analytic and the empirical repulsion window and
+    their largest endpoint difference (None, with the empirical window, when
+    no rate grows)."""
+
     points: tuple[SweepPoint, ...]
     analytic_window: tuple[float, float]
     empirical_window: tuple[float, float] | None

@@ -18,10 +18,9 @@ the positive x-axis and sweeps into the first quadrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mat2, _norm_mod_pi, _parts, _scale, rotate_conjugate
+from .core import Mat2, _norm_mod_pi, _parts, _record, _scale, rotate_conjugate
 from .errors import InapplicableError
 from .spectra import DistinctRealEigen, DistinctRealOrtho, _eigen_case, _ortho_case
 
@@ -45,7 +44,7 @@ class StandardFormKind(Enum):
     T_ZEROED = "t_zeroed"
 
 
-@dataclass(frozen=True)
+@_record
 class StandardFormResult:
     """A standard form together with the rotation that produced it.
 

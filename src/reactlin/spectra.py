@@ -15,10 +15,9 @@ open arc between the two orthovector angles around theta_R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import AngleModPi, RTParams, _norm_mod_pi, _scale, _separation
+from .core import AngleModPi, RTParams, _norm_mod_pi, _record, _scale, _separation
 from .errors import InapplicableError
 
 __all__ = [
@@ -55,7 +54,7 @@ CASE_RTOL = 1e-10
 # eigen structure
 
 
-@dataclass(frozen=True)
+@_record
 class DistinctRealEigen:
     """Two real eigenvalues lambda1 > lambda2 on eigenlines theta1/theta2.
 
@@ -72,7 +71,7 @@ class DistinctRealEigen:
     p_r: float
 
 
-@dataclass(frozen=True)
+@_record
 class ComplexPairEigen:
     """Conjugate pair re +/- i*im, im > 0; T never vanishes.
 
@@ -84,14 +83,14 @@ class ComplexPairEigen:
     im: float
 
 
-@dataclass(frozen=True)
+@_record
 class RepeatedFullEigen:
     """T identically zero: every direction is an eigenline."""
 
     lam: float
 
 
-@dataclass(frozen=True)
+@_record
 class RepeatedDefectiveEigen:
     """T tangent to zero: one eigenline, algebraic multiplicity two."""
 
@@ -144,7 +143,7 @@ def eigen_structure(rt: RTParams) -> EigenStructure:
 # ortho structure
 
 
-@dataclass(frozen=True)
+@_record
 class DistinctRealOrtho:
     """Two orthovector lines phi1/phi2 bounding the reactive arc.
 
@@ -160,19 +159,19 @@ class DistinctRealOrtho:
     p_t: float
 
 
-@dataclass(frozen=True)
+@_record
 class NoRealOrtho:
     """R single-signed: no orthovectors, no reactive boundary."""
 
 
-@dataclass(frozen=True)
+@_record
 class AllOrtho:
     """R identically zero: every direction is an orthovector."""
 
     mu: float
 
 
-@dataclass(frozen=True)
+@_record
 class RepeatedOrtho:
     """R tangent to zero: a single orthovector line."""
 
@@ -240,7 +239,7 @@ class Classification(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@_record
 class TransientSummary:
     """Reactivity data of the system in one record.
 
@@ -333,13 +332,15 @@ class Stability(Enum):
     SEMI_STABLE = "semi_stable"
 
 
-@dataclass(frozen=True)
+@_record
 class AngularEquilibrium:
+    """A rest angle of the angular flow dtheta/dt = T(theta) and its stability."""
+
     angle: AngleModPi
     stability: Stability
 
 
-@dataclass(frozen=True)
+@_record
 class AngularPhaseLine:
     """Equilibria of the angular flow dtheta/dt = T(theta) on [0, pi).
 

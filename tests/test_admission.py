@@ -8,10 +8,12 @@ whose message names the argument.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from reactlin import (
     AngleModPi,
+    Classification,
     InvalidInputError,
     Mat2,
     NonautConfig,
@@ -21,6 +23,7 @@ from reactlin import (
     attractor_with_eigenvectors,
     decompose,
     default_step,
+    eigen_structure,
     eval_radial,
     eval_tangential,
     from_deltas,
@@ -29,6 +32,7 @@ from reactlin import (
     integrate_polar,
     matrix_exponential,
     nonaut_matrix,
+    reconstruct,
     rho_max_from_eigen_ortho,
     rho_max_from_midlines,
     rho_max_from_separations,
@@ -36,6 +40,7 @@ from reactlin import (
     rotate_conjugate,
     rotation_matrix,
     sweep_rotation_rates,
+    transient_summary,
 )
 from reactlin.dynamics import MAX_GRID_STEPS, MAX_SWEEP_POINTS, _grid
 from conftest import A_SPIRAL, A_TRIANGULAR
@@ -52,6 +57,7 @@ CASES = [
     ("RTParams", "m_r", False, lambda v: RTParams(v, 1.0, 0.5, AngleModPi(0.3))),
     ("RTParams", "m_t", False, lambda v: RTParams(1.0, v, 0.5, AngleModPi(0.3))),
     ("RTParams", "p", False, lambda v: RTParams(1.0, 1.0, v, AngleModPi(0.3))),
+    ("RTParams", "theta_r", False, lambda v: RTParams(1.0, 1.0, 0.5, v)),
     ("Mat2.scaled", "scale factor", False, lambda v: A_TRIANGULAR.scaled(v)),
     ("rotate_conjugate", "rotation angle", False, lambda v: rotate_conjugate(A_TRIANGULAR, v)),
     ("rotation_matrix", "rotation angle", False, lambda v: rotation_matrix(v)),
@@ -119,7 +125,8 @@ CASES = [
 ]
 
 # None selects the documented default of these arguments.
-NONE_IS_THE_DEFAULT = {("rho_max_numeric", "step"), ("attractor_with_eigenvectors", "delta_r")}
+NONE_IS_THE_DEFAULT = {("rho_max_numeric", "step"), ("attractor_with_eigenvectors", "delta_r"),
+                       ("RTParams", "theta_r")}
 
 
 def expected_message(label, bad):
@@ -142,6 +149,18 @@ def test_refuses_what_is_not_an_admissible_real(name, label, positive, call):
         with pytest.raises(InvalidInputError) as exc:
             call(bad)
         assert str(exc.value) == expected_message(label, bad)
+
+
+@pytest.mark.parametrize("theta_r", [0.3, 0.3 + math.pi, 3, Fraction(3, 10), np.float32(0.3)],
+                         ids=["float", "beyond-pi", "int", "fraction", "float32"])
+def test_rtparams_takes_a_real_theta_r_as_an_angle(theta_r):
+    rt, want = RTParams(-1.0, 2.0, 3.0, theta_r), RTParams(-1.0, 2.0, 3.0, AngleModPi(theta_r))
+    assert type(rt.theta_r) is AngleModPi
+    assert rt == want
+    # each analysis reads theta_r.value
+    for analysis in (reconstruct, eigen_structure, transient_summary):
+        assert analysis(rt) == analysis(want)
+    assert transient_summary(rt).classification is Classification.SADDLE
 
 
 def test_sweep_needs_an_integer_count():

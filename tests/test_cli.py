@@ -448,14 +448,15 @@ class TestDiagnostics:
 
 class TestColdPath:
     """The analytic commands must import neither numpy nor the integrators
-    (dynamics, _polar); start-up is their whole cost."""
+    (dynamics, _polar), nor dataclasses and inspect; start-up is their whole
+    cost."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"
         "import reactlin, reactlin.cli\n"
         "def loaded():\n"
-        "    print(*(m in sys.modules for m in ('numpy', 'reactlin.dynamics', 'reactlin._polar')),"
-        " sep=',')\n"
+        "    print(*(m in sys.modules for m in ('numpy', 'reactlin.dynamics', 'reactlin._polar',"
+        " 'dataclasses', 'inspect')), sep=',')\n"
         "loaded()\n"
         "for argv in {cases!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -464,7 +465,8 @@ class TestColdPath:
     )
 
     def run_fresh(self, cases):
-        """numpy, dynamics, _polar loaded: after the import, then after each case."""
+        """numpy, dynamics, _polar, dataclasses, inspect loaded: after the
+        import, then after each case."""
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.format(cases=cases)],
             capture_output=True, text=True, check=True, timeout=60,
@@ -479,7 +481,7 @@ class TestColdPath:
             ["portrait", "--n", "16", "--", "-1", "-8", "0", "-3"],
             ["synthesize", "deltas", "--delta-r", "0.39", "--delta-t", "0.39", "--rho", "1"],
         ]
-        assert self.run_fresh(cases) == ["False,False,False"] * (len(cases) + 1)
+        assert self.run_fresh(cases) == ["False,False,False,False,False"] * (len(cases) + 1)
 
     def test_trajectory_loads_numpy(self):
         cases = [
@@ -487,7 +489,12 @@ class TestColdPath:
             ["sweep-k", "--k-min", "-8", "--k-max", "0", "--n", "4", "--step", "0.1",
              "--t-end", "1", "--", "0.7", "-4", "4", "-4.7"],
         ]
-        assert self.run_fresh(cases) == ["False,False,False"] + ["True,True,False"] * 2
+        # numpy may import inspect itself (numpy 2's numpy._core.overrides does)
+        script = "import sys, numpy; print('inspect' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, timeout=60)
+        after = f"True,True,False,False,{proc.stdout.strip()}"
+        assert self.run_fresh(cases) == ["False,False,False,False,False"] + [after] * 2
 
     # The package's public names before the integrators were loaded lazily.
     PUBLIC = [
