@@ -15,11 +15,15 @@ step's start angle and length, so the radius is one cumulative product
 over all steps.  The recurrence is solved for the whole sequence at once
 by Newton's method (each pass a linear recurrence, solved in blocks like
 the step-matrix powers), as a small correction to the angles of the
-Cartesian RK4 run: those states give the stage sines and cosines, which
-the correction and the stage shifts only turn by small angles.  The
-result is accepted only with a bound showing it is the recurrence's own
-solution to below the rounding of theta; otherwise, as on coarse steps,
-a scalar loop steps theta alone.
+Cartesian RK4 run: those states' directions give the stage sines and
+cosines, which the correction and the stage shifts only turn by small
+angles.  One sweep over the four stages of every step gives both the
+angle map and the radius factors, with their slopes, so the radius at
+the corrected angles is a first-order correction.  The result is
+accepted only with bounds showing that the angle is the recurrence's
+own solution to below the rounding of theta, and the radius to below
+the rounding of r; otherwise, as on coarse steps, a scalar loop steps
+theta alone.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -141,8 +145,9 @@ def _grid(step: float, t_end: float) -> tuple[int, float]:
     return n_full, rem if rem > 1e-12 * t_end else 0.0
 
 
-def _sample_times(n_full: int, step: float, rem: float, t_end: float) -> np.ndarray:
+def _sample_times(step: float, t_end: float) -> np.ndarray:
     import numpy as np
+    n_full, rem = _grid(step, t_end)
     ts = np.arange(n_full + 1) * step
     return np.append(ts, t_end) if rem else ts
 
@@ -223,6 +228,28 @@ _BLOCK = 256
 _MAX_ERROR_GAIN = 16.0
 
 
+def _gain_bound(e11, e12, e21, e22) -> float:
+    """An upper bound on every power's error gain in _powers, j <= _BLOCK,
+    from the entries of E = P - I alone.
+
+    With f = |E|_F, each D_j = P^j - I has |D_j|_F <= (1 + f)^j - 1 <=
+    delta = (1 + f)^_BLOCK - 1, so |I + D_j|_F <= sqrt 2 + delta, and
+    |det(I + D_j)| = |det P|^j >= min(1, |det P|)^_BLOCK: the gain is at
+    most (1 + delta)(sqrt 2 + delta) / min(1, |det P|)^_BLOCK.  The bound
+    is raised by a relative 2^-20, far more than the roundings of its own
+    arithmetic and of the gains it stands for; inf where f >= 1 (nan
+    included) or the determinant's power underflows.
+    """
+    f = math.sqrt(e11 * e11 + e12 * e12 + e21 * e21 + e22 * e22)
+    if not f < 1.0:
+        return math.inf
+    delta = (1.0 + f) ** _BLOCK - 1.0
+    det = min(1.0, abs((1.0 + e11) * (1.0 + e22) - e12 * e21)) ** _BLOCK
+    if det == 0.0:
+        return math.inf
+    return (1.0 + delta) * (math.sqrt(2.0) + delta) / det * (1.0 + 2.0 ** -20)
+
+
 def _powers(e11, e12, e21, e22):
     """Entries of P^j - I for j = 1..m, given those of E = P - I.
 
@@ -240,7 +267,9 @@ def _powers(e11, e12, e21, e22):
     a fast decay) would keep only the absolute accuracy of the block's
     first state, where one-at-a-time stepping keeps it relative, and a
     power that overflows would turn a zero state component into nan.
-    m = 1 is one-at-a-time stepping.
+    m = 1 is one-at-a-time stepping.  Where the scalar certificate
+    _gain_bound already holds every gain under _MAX_ERROR_GAIN, as on
+    fine steps, the block is whole and no power's gain is formed.
     """
     import numpy as np
     d = np.empty((_BLOCK, 2, 2))
@@ -251,6 +280,8 @@ def _powers(e11, e12, e21, e22):
             last, low = d[m - 1], d[:m]
             d[m:2 * m] = (last + low) + last @ low
             m *= 2
+        if _gain_bound(e11, e12, e21, e22) <= _MAX_ERROR_GAIN:
+            return np.ascontiguousarray(d.transpose(1, 0, 2))
         d11, d12, d21, d22 = d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1]
         p11, p22 = 1.0 + d11, 1.0 + d22
         gain = (
@@ -265,14 +296,15 @@ def _powers(e11, e12, e21, e22):
 
 
 def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
-    """Times and states of x <- x + E x on the integrator grid.
+    """States (x, y) of x <- x + E x on the integrator grid (_sample_times).
 
     increment(h) returns the entries of E for a step of length h; it is
     called once for the full steps and once for a partial final step.
     The full steps go in blocks of m through D_j = P^j - I, P = I + E
     (_powers): only the block starts x_{bm} step in sequence, in floats,
-    and one batched product fills every block, x_{bm} + D_j x_{bm}, in the
-    output array, padded to whole blocks and trimmed by a view.
+    and one batched product fills every block, x_{bm} + D_j x_{bm}, in a
+    contiguous array copied once into the output, padded to whole blocks
+    and trimmed by a view.
     """
     try:
         x, y = x0
@@ -297,15 +329,16 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
     # an overflow ends as inf or nan in the last state, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         blocks[:, :, 0] = starts.T
-        np.matmul(starts, d[:, :-1].transpose(0, 2, 1), out=blocks[:, :, 1:])
-        blocks[:, :, 1:] += starts.T[:, :, None]
+        fill = np.matmul(starts, d[:, :-1].transpose(0, 2, 1))
+        fill += starts.T[:, :, None]
+        blocks[:, :, 1:] = fill
         if rem:
             e11, e12, e21, e22 = increment(rem)
             x, y = xs[:, n_full].tolist()
             xs[:, n_full + 1] = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
     xs = xs[:, :n_full + (2 if rem else 1)]
     _check_finite(*xs[:, -1].tolist(), t_end)
-    return _sample_times(n_full, step, rem, t_end), xs[0], xs[1]
+    return xs[0], xs[1]
 
 
 def integrate_linear(
@@ -313,10 +346,10 @@ def integrate_linear(
 ) -> Trajectory:
     """RK4 trajectory of X' = AX from x0, one step matrix product per step."""
     step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
-    ts, xs, ys = _step_linear(
+    xs, ys = _step_linear(
         lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h), x0, step, t_end
     )
-    return _trajectory(ts, xs, ys, step, "rk4")
+    return _trajectory(_sample_times(step, t_end), xs, ys, step, "rk4")
 
 
 def integrate_polar(
@@ -334,8 +367,10 @@ def integrate_polar(
     result is still independent of integrate_linear.  Where no pass is
     certified (coarse steps) the angle is stepped one step at a time.
     One RK4 step multiplies r by a factor that depends only on the step's
-    start angle and length, from the same stages (_radius_increments), and
-    r is the cumulative product of the factors (_radii).  Samples are
+    start angle and length, and r is the cumulative product of the factors
+    (_radii).  The factors come from the same stage sweep as the accepted
+    pass's angle map (_stage_sweep), with their slopes, which carry them
+    to the corrected angles to below the rounding of r.  Samples are
     returned in Cartesian form (r cos theta, r sin theta), at the Cartesian
     run's times: each Cartesian state's direction turned through E.  So
     Trajectory.theta, rebuilt from them, starts at theta0 reduced into
@@ -435,9 +470,10 @@ def integrate_nonaut(
     """
     step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     k = cfg.k
-    ts, z, w = _step_linear(
+    z, w = _step_linear(
         lambda h: _corotating_increment(cfg.base, k, h), x0, step, t_end
     )
+    ts = _sample_times(step, t_end)
     import numpy as np
     n = _grid(step, t_end)[0] + 1  # samples on the grid, t_n = n h
     starts = k * (np.arange(n // _BLOCK + 1)[:, None] * (_BLOCK * step))

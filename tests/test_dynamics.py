@@ -30,13 +30,25 @@ from reactlin import (
     sweep_rotation_rates,
     transient_summary,
 )
-from reactlin import _polar
-from reactlin._polar import _angle_curvature_bound, _angle_map, _linear_scan, _solve_angles, _turn
+from reactlin import _polar, dynamics
+from reactlin._polar import (
+    _curvature_bounds,
+    _directions,
+    _linear_scan,
+    _log_growth,
+    _solve_angles,
+    _stage_sweep,
+    _turn,
+)
 from reactlin.dynamics import (
     _BLOCK,
+    _MAX_ERROR_GAIN,
     _corotating_increment,
+    _gain_bound,
     _grid,
+    _powers,
     _rk4_increment,
+    _sample_times,
     _step_linear,
 )
 from reactlin.spectra import ComplexPairEigen
@@ -119,11 +131,12 @@ class TestBlockStepping:
         def increment(h):
             return _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
 
-        ts, xs, ys = _step_linear(increment, (0.6, -0.8), step, t_end)
+        xs, ys = _step_linear(increment, (0.6, -0.8), step, t_end)
         increments = [increment(step)] * n_full
         if partial:
             increments.append(increment(t_end - n_full * step))
-        assert ts[-1] == t_end
+        ts = _sample_times(step, t_end)
+        assert ts[-1] == t_end and len(ts) == len(xs)
         assert sequential_gap(xs, ys, (0.6, -0.8), increments) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -140,6 +153,39 @@ class TestBlockStepping:
         traj = integrate_linear(a, x0, step, n_full * step)
         increments = [_rk4_increment(a.a11, a.a12, a.a21, a.a22, step)] * n_full
         assert sequential_gap(traj.x1, traj.x2, x0, increments) <= 1e-12
+
+    def test_scalar_certificate_keeps_the_powers(self, rng, monkeypatch):
+        # _powers returns the same array, bit for bit, whether the scalar
+        # certificate holds the whole block or every power's gain is formed:
+        # fine steps (certified), A_SPIRAL at h = 1e-3 (h speed 7e-3: whole
+        # but not certified), a coarse step on a fast decay whose block must
+        # shorten, and a step whose high powers overflow
+        fine = [(a, 1e-3 / max_speed(a)) for a in [A_SPIRAL, A_TRIANGULAR] + [random_mat2(rng) for _ in range(20)]]
+        table = [(a, h, True, True) for a, h in fine] + [
+            (A_SPIRAL, 1e-3, False, True),
+            (Mat2(-1.0, 0.0, 0.0, -1.0), 0.2, False, False),
+            (Mat2(-1.0, -8.0, 0.0, -3.0), 0.05, False, False),
+            (Mat2(800.0, 0.0, 0.0, -1.0), 1e-3, False, False),
+        ]
+        for a, h, certified, whole in table:
+            e = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
+            assert (_gain_bound(*e) <= _MAX_ERROR_GAIN) is certified
+            got = _powers(*e)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_gain_bound", lambda *_: math.inf)
+                want = _powers(*e)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert (got.shape[1] == _BLOCK) is whole
+
+    def test_trajectory_shapes_take_the_scalar_certificate(self, rng):
+        # steps of 1e-3 over the largest rate scale, spin rates up to that
+        # scale, as the 1e4-step trajectories of the dyn-warm benchmark take
+        for _ in range(200):
+            a = random_mat2(rng)
+            scale = 1.0 + max(abs(a.a11), abs(a.a12), abs(a.a21), abs(a.a22))
+            k = float(rng.uniform(-1.0, 1.0)) * scale
+            assert _gain_bound(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, 1e-3 / scale)) <= _MAX_ERROR_GAIN
+            assert _gain_bound(*_corotating_increment(a, k, 1e-3 / (scale + abs(k)))) <= _MAX_ERROR_GAIN
 
     def test_fast_growth_leaves_other_component_exact(self):
         # one step grows x1 2.2-fold: P^1024 and higher powers overflow,
@@ -450,13 +496,20 @@ class TestPolarAngleSolve:
         assert (gap / r).max() <= state_tol
         assert np.abs(traj.theta - (th - th[0] + traj.theta[0])).max() <= theta_tol
 
-    def test_long_runs_are_solved_whole(self, loop_calls):
+    def test_long_runs_are_solved_whole(self, loop_calls, monkeypatch):
         # 1e5 steps, ten times the stagewise test's, at ten times its state
         # bound, whose rounding grows with the step count; theta is at its
-        # bound, as neither side lets theta's roundings add up
+        # bound, as neither side lets theta's roundings add up.  On the
+        # spiral the cheap growth bound does not certify, so the exact one
+        # is taken
+        exact = []
+        log_growth = _polar._log_growth
+        monkeypatch.setattr(_polar, "_log_growth", lambda q: exact.append(q.size) or log_growth(q))
         for a in (A_SPIRAL, A_TRIANGULAR):
             step = 1e-3 / max_speed(a)
             self.check_against_reference(a, 1.0, 0.4, step, 100_000, 1e-11, 1e-13)
+            if a is A_SPIRAL:
+                assert exact
         assert not loop_calls
 
     def test_coarse_steps_take_the_loop(self, loop_calls):
@@ -521,14 +574,15 @@ class TestPolarAngleSolve:
             n_full, rem = _grid(step, t_end)
             h = np.append(np.full(n_full, step), rem)
             phase = rt.theta_r.value if rt.theta_r is not None else 0.0
-            args = (th0, h * rt.m_t, h * rt.p, phase, step * rt.p, step * (abs(rt.m_t) + rt.p))
+            stages = (h * rt.m_t, h * rt.p, step * (abs(rt.m_t) + rt.p), h, rt.m_r, rt.p)
+            args = (th0, phase, stages, step * rt.p, step * (abs(rt.m_r) + rt.p))
             cart = integrate_linear(reconstruct(rt), (math.cos(th0), math.sin(th0)), step, t_end)
             x, y = cart.x1, cart.x2
-            want = _solve_angles(x, y, x[1:], y[1:], *args)[0]
+            want = _solve_angles(*_directions(x, y, phase), *args)[0]
             for off in (np.full(n_full + 2, 1e-3), 1e-3 * np.sin(np.arange(n_full + 2))):
                 off[0] = 0.0
                 xo, yo = x * np.cos(off) - y * np.sin(off), x * np.sin(off) + y * np.cos(off)
-                got = _solve_angles(xo, yo, xo[1:], yo[1:], *args)
+                got = _solve_angles(*_directions(xo, yo, phase), *args)
                 if got is not None:
                     solved += 1
                     assert np.abs(got[0] + off - want).max() <= 1e-13
@@ -538,10 +592,12 @@ class TestPolarAngleSolve:
     def test_linear_scan_matches_sequential(self, rng, n):
         # e_{k+1} = J_k e_k + r_k one step at a time, and the largest product
         # of consecutive J by brute force over every run (with every J > 1,
-        # the whole sequence)
+        # the whole sequence), which the cheap bound sum max(0, J - 1) holds
         for lo, hi in ((0.5, 1.8), (1.0, 1.5)):
-            jac, res = rng.uniform(lo, hi, n), rng.normal(size=n)
-            e, e_max, log_g = _linear_scan(jac, res)
+            jm1, res = rng.uniform(lo - 1.0, hi - 1.0, n), rng.normal(size=n)
+            jac = jm1 + 1.0
+            e, e_max, q = _linear_scan(jm1, res)
+            log_g = _log_growth(q)
             want = [0.0]
             for j, r in zip(jac, res):
                 want.append(j * want[-1] + r)
@@ -550,6 +606,7 @@ class TestPolarAngleSolve:
             run = np.append(0.0, np.cumsum(np.log(jac)))
             runs = np.triu(run[None, :] - run[:, None])  # [i, j]: log of J_i ... J_{j-1}
             assert log_g == pytest.approx(runs.max(), rel=1e-12, abs=1e-12)
+            assert np.maximum(jm1, 0.0).sum() >= log_g
 
     def test_angle_overflow_is_numeric_failure(self):
         # 2 (theta - theta_R) overflows: math.sin(inf) raised ValueError
@@ -559,27 +616,33 @@ class TestPolarAngleSolve:
 
     @pytest.mark.parametrize("beta", [1e-3, 0.1, 0.5, 1.0])
     def test_curvature_bound_holds(self, beta):
-        # Phi'' by central differences of the increment Phi(theta) - theta
-        # (truncation ~ delta^2, rounding ~ eps/delta^2, both far below the
-        # bound), over a grid of theta and shifts a = h m_T; and J = Phi'
-        # against central differences with a finer delta
-        bound = _angle_curvature_bound(beta)
+        # Phi'' and phi'' by central differences of the sweep's increments
+        # Phi(theta) - theta and phi (truncation ~ delta^2, rounding ~
+        # eps/delta^2, both far below the bounds), over a grid of theta,
+        # shifts a = h m_T and z = h (|m_R| + p), with h = 1; and
+        # J = Phi', dphi/dtheta against central differences with a finer delta
         theta = np.linspace(0.0, math.pi, 2001)
-        worst = 0.0
-        for a in (0.0, 0.5 * beta, -2.0 * beta, 3.0 * beta):
-            def stages(d):
-                u = 2.0 * (theta + d - 0.2)
-                return _angle_map(np.cos(u), np.sin(u), a, beta, abs(a) + beta)
-
-            def inc(d):
-                return stages(d)[0]
-            second = (inc(-1e-3) - 2.0 * inc(0.0) + inc(1e-3)) / 1e-6
-            worst = max(worst, np.abs(second).max())
-            jac = stages(0.0)[1]
-            assert np.abs(jac - 1.0 - (inc(1e-5) - inc(-1e-5)) / 2e-5).max() <= 1e-6
-        assert worst <= bound
+        worst_angle = 0.0
+        for z, sign in ((beta, 1.0), (2.0 * beta, 1.0), (2.0 * beta, -1.0), (4.0 * beta, -1.0)):
+            m_r = sign * (z - beta)
+            angle_bound, radius_bound = _curvature_bounds(beta, z)
+            worst_radius = 0.0
+            for a in (0.0, 0.5 * beta, -2.0 * beta, 3.0 * beta):
+                def sweep(delta):
+                    u = theta + delta - 0.2  # the direction at theta - phase
+                    return _stage_sweep(np.cos(u), np.sin(u), None, 0.0, a, beta, abs(a) + beta, 1.0, m_r, beta)
+                (f0, jm1, phi0, dphi), (f1, _, phi1, _), (f2, _, phi2, _) = sweep(0.0), sweep(-1e-3), sweep(1e-3)
+                (f3, _, phi3, _), (f4, _, phi4, _) = sweep(-1e-5), sweep(1e-5)
+                worst_angle = max(worst_angle, np.abs(f1 - 2.0 * f0 + f2).max() / 1e-6)
+                worst_radius = max(worst_radius, np.abs(phi1 - 2.0 * phi0 + phi2).max() / 1e-6)
+                assert np.abs(jm1 - (f4 - f3) / 2e-5).max() <= 1e-6
+                assert np.abs(dphi - (phi4 - phi3) / 2e-5).max() <= 1e-8 * (1.0 + np.abs(dphi).max())
+            assert worst_radius <= radius_bound
+            if beta <= 1e-3 and z == beta:  # about 4 beta to first order, and tight there
+                assert worst_radius >= 0.99 * radius_bound
+        assert worst_angle <= angle_bound
         if beta <= 1e-3:  # the bound is 4 beta to first order, and tight there
-            assert worst >= 0.99 * bound
+            assert worst_angle >= 0.99 * angle_bound
 
     def test_small_turns_match_numpy(self, rng):
         # the Taylor series of _turn at each number of terms, and np.cos /
