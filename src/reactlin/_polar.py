@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .core import RTParams, _real, reconstruct
 from .dynamics import (
-    Trajectory, _BLOCK, _check_finite, _grid, _rk4_increment, _sample_times, _step_linear, _trajectory,
+    Trajectory, _BLOCK, _check_finite, _grid, _rk4_increment, _sample_times, _step_linear,
 )
 from .errors import InvalidInputError, NumericFailureError
 
@@ -367,15 +367,15 @@ def _solve_angles(big_x: np.ndarray, big_y: np.ndarray, theta0: float, phase: fl
     import numpy as np
     n = len(big_x) - 1
     angle_curv, radius_curv = _curvature_bounds(beta, z)
-    big_e, e_bound, top = None, 0.0, None
+    big_e, e_bound, turn = None, 0.0, None
     for n_pass in range(1, _NEWTON_PASSES + 2):
         f, jm1, phi, dphi = _stage_sweep(big_x[:-1], big_y[:-1], None if big_e is None else big_e[:-1],
                                          e_bound, *stages)
         if not jm1.min() > -1.0:  # a J not positive, nan included
             return None
         log_g = float(np.maximum(jm1, 0.0).sum())
-        turn = _turns(big_x, big_y)
-        if top is None:
+        if turn is None:  # the directions, so their turns, are the same on every pass
+            turn = _turns(big_x, big_y)
             top = abs(theta0) + float(abs(turn).sum())  # bounds max|thc|
             if not math.isfinite(2.0 * (top + abs(phase))):
                 return None
@@ -383,14 +383,13 @@ def _solve_angles(big_x: np.ndarray, big_y: np.ndarray, theta0: float, phase: fl
         if big_e is not None:
             f -= big_e[1:]
             f += big_e[:-1]
-        del turn
         scan = _linear_scan(jm1, f)
         del f, jm1
         if scan is None:
             return None
         e, e_max, q = scan
         big_e = e if big_e is None else big_e + e
-        e_bound = max(float(big_e.max()), -float(big_e.min()))
+        e_bound = e_max if big_e is e else max(float(big_e.max()), -float(big_e.min()))
         limit = min(2.0 ** -54 * max(1.0, top + e_bound), 0.4 * e_max)
         remainder = n * angle_curv * e_max * e_max
         if not remainder * math.exp(min(log_g, 709.0)) <= limit:
@@ -402,6 +401,7 @@ def _solve_angles(big_x: np.ndarray, big_y: np.ndarray, theta0: float, phase: fl
                 return big_e, e_bound, phi
         elif n_pass >= _NEWTON_PASSES:
             return None
+        del scan, q, phi, dphi  # before the next pass's sweep allocates
     return None
 
 
@@ -451,4 +451,4 @@ def integrate(rt: RTParams, r0: float, theta0: float, step: float, t_end: float)
         xs -= v * sp
         ys += u * sp
     _check_finite(float(xs[-1]), float(ys[-1]), t_end)
-    return _trajectory(_sample_times(step, t_end), xs, ys, step, "rk4_polar")
+    return Trajectory(_sample_times(step, t_end), xs, ys, step, "rk4_polar")

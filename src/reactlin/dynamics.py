@@ -35,8 +35,9 @@ B_k(t0 + s) = R(-k t0) B_k(s) R(k t0), the step from t0 is
 R(-k t0) S R(k t0), where S is the step from 0, so z = R(kt) x advances
 by the fixed matrix R(kh) S.  integrate_nonaut keeps that RK4 of B_k,
 so that comparing it with integrate_linear of A + k J checks the frame
-change; the k-sweep needs only norms, |X(t)| = |e^{(A + kJ) t} x0|, and
-takes them from the matrix exponential instead of time-stepping.
+change; the k-sweep needs only norms, |X(t)| = |e^{(A + kJ) t} x0|,
+takes them from the matrix exponential instead of time-stepping, and
+fits every rate's slope at once over its (samples x rates) log-norms.
 
 numpy is imported only inside the functions that build or read arrays,
 never when the module is imported; the polar solver's own code (_polar)
@@ -82,7 +83,7 @@ __all__ = [
 # the bounded oscillation a rotating frame leaves in the norm.
 GROWTH_SLOPE_THRESHOLD = 1e-3
 # Most rates one sweep_rotation_rates call takes: its log-norm array holds
-# up to 514 floats per rate, so 10^4 rates take about 41 MB.
+# up to 1024 floats per rate, so 10^4 rates take up to 82 MB.
 MAX_SWEEP_POINTS = 10_000
 # Most steps one integrator call takes: each sample array holds a float per
 # step, so 4 * 10^6 steps take 32 MB an array, and integrate_polar works
@@ -127,11 +128,6 @@ class Trajectory:
         k = np.zeros_like(a)
         np.cumsum(np.rint(np.diff(a) / -math.tau), out=k[1:])
         return k * _TAU_HI + (a + k * _TAU_LO)
-
-
-def _trajectory(ts: np.ndarray, xs, ys, step: float, method: str) -> Trajectory:
-    import numpy as np
-    return Trajectory(t=ts, x1=np.asarray(xs), x2=np.asarray(ys), step=step, method=method)
 
 
 def _grid(step: float, t_end: float) -> tuple[int, float]:
@@ -349,7 +345,7 @@ def integrate_linear(
     xs, ys = _step_linear(
         lambda h: _rk4_increment(a.a11, a.a12, a.a21, a.a22, h), x0, step, t_end
     )
-    return _trajectory(_sample_times(step, t_end), xs, ys, step, "rk4")
+    return Trajectory(_sample_times(step, t_end), xs, ys, step, "rk4")
 
 
 def integrate_polar(
@@ -482,28 +478,38 @@ def integrate_nonaut(
     c, s = (cs * co - ss * so).ravel(), (ss * co + cs * so).ravel()
     c[n], s[n] = math.cos(k * t_end), math.sin(k * t_end)  # a partial step's sample
     c, s = c[:len(ts)], s[:len(ts)]
-    return _trajectory(ts, c * z + s * w, c * w - s * z, step, "rk4_nonaut")
+    return Trajectory(ts, c * z + s * w, c * w - s * z, step, "rk4_nonaut")
 
 
 # ---------------------------------------------------------------------------
 # empirical growth detection and the k sweep
 
 
-def log_norm_slope(t: np.ndarray, log_norms: np.ndarray) -> float:
+def log_norm_slope(t: np.ndarray, log_norms: np.ndarray) -> float | np.ndarray:
     """Least-squares slope of log-norm over the trailing half of the data.
 
     The trailing window discards the initial transient; bounded
-    oscillation from the rotating frame averages out in the fit.
+    oscillation from the rotating frame averages out in the fit.  A 2-D
+    log_norms, one row per time, fits each column against the same
+    centred times and gives an array of slopes; a 1-D one gives a float.
+    Times all equal over the window give slope 0.  log_norms without one
+    row per time, and either argument empty or with an entry that is not
+    finite, raise InvalidInputError naming the argument.
     """
-    n = len(t)
-    lo = n // 2
-    tt = t[lo:]
-    yy = log_norms[lo:]
+    import numpy as np
+    t, log_norms = np.asarray(t, dtype=float), np.asarray(log_norms, dtype=float)
+    if t.ndim != 1 or log_norms.ndim > 2 or log_norms.shape[:1] != t.shape:
+        raise InvalidInputError(
+            f"log_norms needs one row per entry of t, got shapes {log_norms.shape} and {t.shape}")
+    for label, v in (("t", t), ("log_norms", log_norms)):
+        if not (v.size and np.isfinite(v).all()):
+            raise InvalidInputError(f"{label} is empty or has an entry that is not finite")
+    lo = len(t) // 2
+    tt, yy = t[lo:], log_norms[lo:]
     tm = tt - tt.mean()
     denom = float(tm @ tm)
-    if denom == 0.0:
-        return 0.0
-    return float(tm @ (yy - yy.mean())) / denom
+    slope = tm @ (yy - yy.mean(axis=0)) / denom if denom else np.zeros(yy.shape[1:])
+    return float(slope) if slope.ndim == 0 else slope
 
 
 @_record
@@ -546,8 +552,10 @@ def sweep_rotation_rates(
     sample to sample by the exact propagator e^{(A + kJ) dt}
     (matrix_exponential, once for the common interval and once for a
     shorter last one) and is renormalized, so fast growth or decay
-    cannot overflow; the true log-norm is the running sum.  A propagator
-    or log-norm that is not finite raises NumericFailureError.  The
+    cannot overflow; the log-norms are the running sums of the logs of
+    the norms, in one (samples x rates) array, and one fit over it
+    (log_norm_slope) gives every rate's slope.  A propagator or log-norm
+    that is not finite raises NumericFailureError.  The
     empirical window boundary is the midpoint between the last decaying
     and first growing grid rates on each side (grid endpoints when the
     growing block touches the edge of the grid).
@@ -578,37 +586,27 @@ def sweep_rotation_rates(
         return np.array([(m.a11, m.a12, m.a21, m.a22) for m in mats]).T
 
     intervals = [propagators(every * h)] * n_full + ([propagators(rem * h)] if rem else [])
-    log_arr = np.zeros((len(t_arr), n))  # log-norm of each sample and rate
+    log_arr = np.ones((len(t_arr), n))  # each interval's norm, then each sample's log-norm
     x, y = np.ones(n), np.zeros(n)
     # a zero or non-finite norm ends as -inf or nan in the last row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, (e11, e12, e21, e22) in enumerate(intervals, 1):
+        for r, (e11, e12, e21, e22) in zip(log_arr[1:], intervals):
             x, y = e11 * x + e12 * y, e21 * x + e22 * y
-            r = np.hypot(x, y)
-            log_arr[i] = log_arr[i - 1] + np.log(r)
+            np.hypot(x, y, out=r)
             x, y = x / r, y / r
+        np.cumsum(np.log(log_arr, out=log_arr), axis=0, out=log_arr)
     if not np.isfinite(log_arr[-1]).all():
         raise NumericFailureError("log-norm of the spun system is not finite")
-    points = []
-    for j in range(n):
-        slope = log_norm_slope(t_arr, log_arr[:, j])
-        points.append(
-            SweepPoint(k=float(ks[j]), log_slope=slope, growing=slope > GROWTH_SLOPE_THRESHOLD)
-        )
-
-    growing_idx = [j for j, pt in enumerate(points) if pt.growing]
-    if not growing_idx:
-        empirical = None
-        max_err = None
-    else:
-        first, last = growing_idx[0], growing_idx[-1]
-        lo = ks[first] if first == 0 else 0.5 * (ks[first - 1] + ks[first])
-        hi = ks[last] if last == n - 1 else 0.5 * (ks[last] + ks[last + 1])
-        empirical = (float(lo), float(hi))
+    slopes = log_norm_slope(t_arr, log_arr)
+    growing = slopes > GROWTH_SLOPE_THRESHOLD
+    block = np.flatnonzero(growing)
+    empirical = max_err = None
+    if block.size:
+        edges = np.concatenate((ks[:1], 0.5 * (ks[:-1] + ks[1:]), ks[-1:]))
+        empirical = (float(edges[block[0]]), float(edges[block[-1] + 1]))
         max_err = max(abs(empirical[0] - window[0]), abs(empirical[1] - window[1]))
-
     return SweepResult(
-        points=tuple(points),
+        points=tuple(map(SweepPoint, ks.tolist(), slopes.tolist(), growing.tolist())),
         analytic_window=window,
         empirical_window=empirical,
         max_abs_boundary_error=max_err,

@@ -30,6 +30,7 @@ from reactlin import (
     integrate_linear,
     integrate_nonaut,
     integrate_polar,
+    log_norm_slope,
     matrix_exponential,
     nonaut_matrix,
     reconstruct,
@@ -170,6 +171,36 @@ def test_sweep_needs_an_integer_count():
         assert str(exc.value) == f"need at least 2 sweep points, got {bad!r}"
 
 
+def test_sweep_needs_an_increasing_range():
+    for k_min, k_max in ((0.0, -8.0), (-3.0, -3.0)):
+        with pytest.raises(InvalidInputError) as exc:
+            sweep_rotation_rates(A_SPIRAL, k_min, k_max, 5)
+        assert str(exc.value) == f"need k_min < k_max, got [{k_min}, {k_max}]"
+
+
+T6 = np.linspace(0.0, 1.0, 6)
+
+
+@pytest.mark.parametrize("t, log_norms, label", [
+    (T6, np.zeros(5), "log_norms"),
+    (T6, np.zeros((7, 3)), "log_norms"),
+    (T6, np.zeros((6, 3, 2)), "log_norms"),
+    (np.zeros((6, 1)), np.zeros(6), "log_norms"),
+    (np.array([]), np.array([]), "t"),
+    (T6, np.zeros((6, 0)), "log_norms"),
+    (np.array([0.0, np.nan, 2.0]), np.zeros(3), "t"),
+    (T6, np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0]), "log_norms"),
+    (T6, np.full((6, 2), -np.inf), "log_norms"),
+], ids=["short", "2-D long", "3-D", "2-D t", "empty", "no columns", "nan t", "nan log_norms",
+        "inf log_norms"])
+def test_log_norm_slope_refusals(t, log_norms, label):
+    # each is refused before numpy could warn (an error under this suite's
+    # filterwarnings) or return nan, by a message that starts with the
+    # argument's name
+    with pytest.raises(InvalidInputError, match=f"^{label} "):
+        log_norm_slope(t, log_norms)
+
+
 def test_sweep_width_must_be_a_float():
     # each end is finite, but the width np.linspace needs overflows
     with pytest.raises(InvalidInputError) as exc:
@@ -194,7 +225,7 @@ def test_initial_state_must_be_a_pair(name, call, bad):
 
 
 def test_sweep_count_is_bounded():
-    # the log-norm array holds up to 514 floats per rate
+    # the log-norm array holds up to 1024 floats per rate
     for bad in (MAX_SWEEP_POINTS + 1, 10**20):
         with pytest.raises(InvalidInputError) as exc:
             sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, bad)

@@ -461,6 +461,20 @@ class TestIntegratePolar:
             gap = np.hypot(cart.x1 - pol.x1, cart.x2 - pol.x2)
             assert (gap / cart.r).max() <= 1e-6
 
+    def test_working_set_stays_about_a_dozen_step_arrays(self):
+        # MAX_GRID_STEPS prices a call at about a dozen arrays of a float per
+        # sample; a 1e4-step run on the spiral peaks at 13.0 of them
+        import tracemalloc
+        rt, n, step = decompose(A_SPIRAL), 10_000, 1e-3 / 5.7
+        integrate_polar(rt, 1.0, 0.3, step, n * step)  # the solver's code loads first
+        tracemalloc.start()
+        try:
+            integrate_polar(rt, 1.0, 0.3, step, n * step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 8 * (n + 1)
+
     def test_overflow_is_numeric_failure(self):
         with pytest.raises(NumericFailureError):
             integrate_polar(decompose(Mat2(800.0, 0.0, 0.0, 800.0)), 1.0, 0.0, 1e-3, 10.0)
@@ -511,6 +525,16 @@ class TestPolarAngleSolve:
             if a is A_SPIRAL:
                 assert exact
         assert not loop_calls
+
+    def test_turns_are_formed_once_per_solve(self, loop_calls, monkeypatch):
+        # the directions, so their turns, are the same on every Newton pass
+        sweeps, turns = [], []
+        stage_sweep, turns_of = _polar._stage_sweep, _polar._turns
+        monkeypatch.setattr(_polar, "_stage_sweep", lambda *a: sweeps.append(1) or stage_sweep(*a))
+        monkeypatch.setattr(_polar, "_turns", lambda *a: turns.append(1) or turns_of(*a))
+        step = 0.1 / max_speed(A_SPIRAL)
+        self.check_against_reference(A_SPIRAL, 1.0, 0.4, step, 2000, 1e-12, 1e-12)
+        assert len(sweeps) == 3 and len(turns) == 1 and not loop_calls
 
     def test_coarse_steps_take_the_loop(self, loop_calls):
         # at h speed = 2 no Newton pass is certified, so theta is stepped
@@ -855,6 +879,13 @@ class TestSweep:
             logs = [math.log(math.hypot(*matrix_exponential(e, ti).apply(1.0, 0.0))) for ti in t]
             assert abs(pt.log_slope - log_norm_slope(t, np.array(logs))) <= 1e-9
 
+    def test_one_fit_over_the_samples_by_rates_array(self, monkeypatch):
+        shapes = []
+        fit = dynamics.log_norm_slope
+        monkeypatch.setattr(dynamics, "log_norm_slope", lambda t, y: shapes.append(y.shape) or fit(t, y))
+        sweep_rotation_rates(A_SPIRAL, -8.0, 0.0, 161)
+        assert shapes == [(528, 161)]  # sample 0, 526 of 19 steps and one of 6
+
     def test_stiff_spiral_window(self):
         # the criterion-9 spiral and grid times 200: step * |A| is past
         # RK4's stability limit, which the exact propagator does not have
@@ -874,6 +905,22 @@ class TestHelpers:
     def test_log_norm_slope_recovers_exact_line(self):
         t = np.linspace(0, 10, 101)
         assert log_norm_slope(t, 0.37 * t - 2.0) == pytest.approx(0.37, abs=1e-12)
+
+    def test_log_norm_slope_fits_each_column(self, rng):
+        t = np.linspace(0.0, 10.0, 101)
+        y = rng.normal(size=(101, 5)) + np.outer(t, [0.37, -2.0, 0.0, 1e3, -1e-3])
+        slopes = log_norm_slope(t, y)
+        assert slopes.shape == (5,)
+        for j in range(5):
+            one = log_norm_slope(t, y[:, j])
+            assert type(one) is float
+            assert abs(slopes[j] - one) <= 1e-14 * max(1.0, abs(one))
+
+    def test_log_norm_slope_of_equal_times_is_zero(self):
+        # the trailing half has one time, or equal times: no slope to fit
+        assert log_norm_slope(np.array([2.0]), np.array([5.0])) == 0.0
+        assert log_norm_slope(np.full(4, 2.0), np.arange(4.0)) == 0.0
+        assert np.array_equal(log_norm_slope(np.full(4, 2.0), np.ones((4, 3))), np.zeros(3))
 
     def test_default_step_scales_with_speed(self):
         fast = decompose(Mat2(-100.0, 0, 0, -100.0))
