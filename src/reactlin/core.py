@@ -14,11 +14,12 @@ and both coefficients are pi-periodic sinusoids sharing one amplitude:
 The four numbers (m_R, m_T, p, theta_R) encode A exactly, and this
 module owns that bijection plus the small set of exact matrix moves
 (rotation conjugation, axis reflection) the rest of the package is
-built on, with the closed-form e^{At} that certifies rho_max_closed and
-checks the integrators (kept here so that the analytic layers never
-import dynamics).  R is the instantaneous radial growth rate, T the angular
-velocity, so everything about transient amplification is readable from
-these two curves.
+built on, with the closed-form e^{At} that certifies rho_max_closed,
+checks the RK4 integrators and gives integrate_polar its exact step
+(kept here so that the analytic layers never import dynamics).  R is
+the instantaneous radial growth rate, T the angular velocity, so
+everything about transient amplification is readable from these two
+curves.
 
 All types are immutable values and all functions are pure; they are
 safe to call concurrently without synchronization.  The record types of
@@ -447,38 +448,61 @@ def symmetric_part_reactivity(a: Mat2) -> float:
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[-1])
 
 
-def matrix_exponential(a: Mat2, t: float) -> Mat2:
-    """Closed-form e^{At} by spectral case.
+def _exp_split(a: Mat2, t: float) -> tuple[float, float, float, float, float]:
+    """(m, e, c, s, f) with e^{At} = e (c I + s (A - m I)) and
+    e^{At} - I = f I + e s (A - m I), by spectral case.
 
     With m the mean eigenvalue and d = m^2 - det(A) the squared
-    half-separation, e^{At} = e^{mt} (c I + s (A - m I)) where (c, s)
-    are cosh/sinh-type pair for d > 0, cos/sin-type for d < 0, and the
-    shared series limit near the repeated-eigenvalue boundary.  For
-    d > 0 the factor e^{mt} goes inside the pair, which then takes one
-    exponential, e^{mt + w|t|}, so a stiff A (large w|t|) cannot
-    overflow where e^{At} itself is small.
+    half-separation, (c, s) is a cosh/sinh-type pair for d > 0,
+    cos/sin-type for d < 0, and the shared series limit near the
+    repeated-eigenvalue boundary, and e = e^{mt}.  For d > 0 the factor
+    e^{mt} goes inside the pair (e = 1), which then takes one exponential,
+    g = e^{mt + w|t|}, so a stiff A (large w|t|) cannot overflow where
+    e^{At} itself is small.  f = e c - 1 keeps the identity out: it is
+    expm1(mt) + e c1, with c1 = c - e^{mt} / e (so c - 1 where e = e^{mt})
+    formed without cancellation, as g expm1(-w|t|)^2 / 2, -2 sin^2(wt/2)
+    or the series.
+    A pair or exponential that overflows raises NumericFailureError.
+    e^{At} depends on At alone, so where A's entries sum beyond 2^+-500,
+    the split is taken of A 2^-k and t 2^k, 2^k near its largest entry:
+    exact, and it keeps m^2 and det A in range.
     """
-    t = _real("time", t)
-    m = 0.5 * a.trace()
-    d = m * m - a.det()
-    x2 = d * t * t
+    a11, a12, a21, a22, u, k = a.a11, a.a12, a.a21, a.a22, t, 0
+    if not 2.0 ** -500 < abs(a11) + abs(a12) + abs(a21) + abs(a22) < 2.0 ** 500:
+        k = math.frexp(a.max_abs())[1]
+        a11, a12, a21, a22 = (math.ldexp(v, -k) for v in (a11, a12, a21, a22))
+    m = 0.5 * (a11 + a22)
+    d = m * m - (a11 * a22 - a12 * a21)
     try:
+        t = math.ldexp(t, k)
+        x2 = d * t * t
         if x2 > 1e-8:
             w = math.sqrt(d)
             tau = w * abs(t)
             g = math.exp(m * t + tau)
             c = 0.5 * g * (1.0 + math.exp(-2.0 * tau))
             s = math.copysign(-0.5 * g * math.expm1(-2.0 * tau) / w, t)
+            c1 = 0.5 * g * math.expm1(-tau) ** 2
         elif x2 < -1e-8:
             w = math.sqrt(-d)
             c = math.cos(w * t)
             s = math.sin(w * t) / w
+            c1 = -2.0 * math.sin(0.5 * w * t) ** 2
         else:
             c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
             s = t * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
+            c1 = x2 / 2.0 + x2 * x2 / 24.0
         e = 1.0 if x2 > 1e-8 else math.exp(m * t)
+        f = math.expm1(m * t) + e * c1
     except (OverflowError, ValueError) as exc:  # ValueError: cos(inf) when det A overflows
-        raise NumericFailureError(f"e^(At) overflows at t = {t!r}") from exc
+        raise NumericFailureError(f"e^(At) overflows at t = {u!r}") from exc
+    return (math.ldexp(m, k), e, c, math.ldexp(s, -k), f) if k else (m, e, c, s, f)
+
+
+def matrix_exponential(a: Mat2, t: float) -> Mat2:
+    """Closed-form e^{At} by spectral case (see _exp_split)."""
+    t = _real("time", t)
+    m, e, c, s, _ = _exp_split(a, t)
     entries = (
         e * (c + s * (a.a11 - m)),
         e * s * a.a12,

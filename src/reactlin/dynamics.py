@@ -1,29 +1,18 @@
 """Trajectory integration and the rotating nonautonomous construction.
 
-Fixed-step classical RK4 drives all integrators (smooth 2x2 linear
-fields need nothing adaptive).  On a linear field one RK4 step is the
-fixed matrix P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the
-Cartesian integrators precompute its first 256 powers, step only every
-256th state in sequence and fill the states between with one batched
-product, x_{b+j} = x_b + (P^j - I) x_b; the closed-form matrix
-exponential (core.matrix_exponential, re-exported here) serves as their
-independent oracle.  The polar route integrates
-dr/dt = r R(theta), dtheta/dt = T(theta) by RK4.  Only the angle is
-sequential: its RK4 steps form a recurrence theta_{n+1} = Phi(theta_n),
-and each RK4 step multiplies r by a factor that depends only on the
-step's start angle and length, so the radius is one cumulative product
-over all steps.  The recurrence is solved for the whole sequence at once
-by Newton's method (each pass a linear recurrence, solved in blocks like
-the step-matrix powers), as a small correction to the angles of the
-Cartesian RK4 run: those states' directions give the stage sines and
-cosines, which the correction and the stage shifts only turn by small
-angles.  One sweep over the four stages of every step gives both the
-angle map and the radius factors, with their slopes, so the radius at
-the corrected angles is a first-order correction.  The result is
-accepted only with bounds showing that the angle is the recurrence's
-own solution to below the rounding of theta, and the radius to below
-the rounding of r; otherwise, as on coarse steps, a scalar loop steps
-theta alone.
+Every integrator steps a fixed linear map, x <- x + E x (_step_linear).
+On a linear field one classical RK4 step is the matrix
+P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, and the exact step is
+e^{Ah}; either way the integrators precompute the first 256 powers of
+the step matrix, step only every 256th state in sequence and fill the
+states between with one batched product, x_{b+j} = x_b + (P^j - I) x_b.
+integrate_linear takes RK4's step, with the closed-form matrix
+exponential (core.matrix_exponential, re-exported here) as its
+independent oracle.  integrate_polar samples the exact flow of the
+polar system dr/dt = r R(theta), dtheta/dt = T(theta): that split is a
+change of coordinates of X' = AX, so its solution is e^{At} x0, and its
+step is e^{Ah} - I from matrix_exponential's own case split
+(core._exp_split), with the identity kept out.
 
 The nonautonomous part freezes a reactive attractor A and spins it,
 B_k(t) = M_kt^-1 A M_kt.  In the frame co-rotating with the spin the
@@ -40,9 +29,8 @@ takes them from the matrix exponential instead of time-stepping, and
 fits every rate's slope at once over its (samples x rates) log-norms.
 
 numpy is imported only inside the functions that build or read arrays,
-never when the module is imported; the polar solver's own code (_polar)
-is imported on the first integrate_polar call.  This module itself loads
-on first use: through reactlin.__getattr__, or inside the amplification
+never when the module is imported.  This module itself loads on first
+use: through reactlin.__getattr__, or inside the amplification
 and cli functions that need it, so the analytic layers never compile it.
 """
 
@@ -51,8 +39,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .core import (Mat2, QUARTER_TURN, RTParams, _real, _record, decompose,
-                   matrix_exponential, rotate_conjugate)
+from .core import (Mat2, QUARTER_TURN, RTParams, _exp_split, _real, _record, decompose,
+                   matrix_exponential, reconstruct, rotate_conjugate)
 from .errors import InvalidInputError, NumericFailureError
 from .spectra import _reactive_arc, _require_reactive_attractor
 
@@ -86,8 +74,8 @@ GROWTH_SLOPE_THRESHOLD = 1e-3
 # up to 1024 floats per rate, so 10^4 rates take up to 82 MB.
 MAX_SWEEP_POINTS = 10_000
 # Most steps one integrator call takes: each sample array holds a float per
-# step, so 4 * 10^6 steps take 32 MB an array, and integrate_polar works
-# with about a dozen such arrays.
+# step, so 4 * 10^6 steps take 32 MB an array, and an integrator call works
+# with a few such arrays.
 MAX_GRID_STEPS = 4_000_000
 # 2pi split Cody-Waite style: _TAU_HI has 31 significant bits, so k _TAU_HI
 # is exact for an integer |k| < 2^22, and _TAU_LO = 2pi - _TAU_HI.
@@ -151,7 +139,7 @@ def _sample_times(step: float, t_end: float) -> np.ndarray:
 def _check_finite(x: float, y: float, t_end: float) -> None:
     """Raise if an integrator's final state overflowed.
 
-    The RK4 updates never turn inf or nan back into a finite number, so
+    The step updates never turn inf or nan back into a finite number, so
     checking the last state once covers every step at no per-step cost.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -214,6 +202,17 @@ def _rk4_increment(a11, a12, a21, a22, h):
     would otherwise magnify.
     """
     return _stage_push(lambda _t, u, v: (a11 * u + a12 * v, a21 * u + a22 * v), h)
+
+
+def _exact_increment(a: Mat2, h: float):
+    """Entries (e11, e12, e21, e22) of e^{Ah} - I, the exact step of X' = AX.
+
+    core._exp_split gives e^{Ah} - I = f I + e s (A - m I) with f formed
+    apart from the identity, which stays out as in _rk4_increment.
+    """
+    m, e, _, s, f = _exp_split(a, h)
+    es = e * s
+    return f + es * (a.a11 - m), es * a.a12, es * a.a21, f + es * (a.a22 - m)
 
 
 # Most steps advanced per numpy expression by the step-matrix loops;
@@ -351,29 +350,23 @@ def integrate_linear(
 def integrate_polar(
     rt: RTParams, r0: float, theta0: float, step: float, t_end: float
 ) -> Trajectory:
-    """RK4 on the decoupled polar system dr = r R(theta), dtheta = T(theta).
+    """Exact flow of the polar system dr = r R(theta), dtheta = T(theta),
+    sampled on the integrator grid.
 
-    The angle alone obeys a recurrence, theta_{n+1} = Phi(theta_n), Phi
-    one RK4 step of dtheta = T(theta) (_step_angles), from theta0 as
-    given, unnormalized.  It is solved for the whole sequence at once by
-    Newton's method, as a correction E to the angles of the Cartesian RK4
-    run of the same system (_solve_angles), and accepted only with a
-    certificate that it is the recurrence's own solution to below the
-    rounding of theta.  The Cartesian run sets only the speed, so the
-    result is still independent of integrate_linear.  Where no pass is
-    certified (coarse steps) the angle is stepped one step at a time.
-    One RK4 step multiplies r by a factor that depends only on the step's
-    start angle and length, and r is the cumulative product of the factors
-    (_radii).  The factors come from the same stage sweep as the accepted
-    pass's angle map (_stage_sweep), with their slopes, which carry them
-    to the corrected angles to below the rounding of r.  Samples are
-    returned in Cartesian form (r cos theta, r sin theta), at the Cartesian
-    run's times: each Cartesian state's direction turned through E.  So
-    Trajectory.theta, rebuilt from them, starts at theta0 reduced into
-    (-pi, pi].
+    The polar split is a change of coordinates of X' = AX, A =
+    reconstruct(rt), so the solution from (r0, theta0) is e^{At} x0,
+    x0 = (r0 cos theta0, r0 sin theta0).  The states step as x <- x + E x
+    in blocks, like integrate_linear's, with the exact step
+    E = e^{Ah} - I (_exact_increment) in place of RK4's.  Samples are
+    returned in Cartesian form, so Trajectory.theta, rebuilt from them,
+    starts at theta0 reduced into (-pi, pi].
     """
-    from ._polar import integrate  # the solver's code loads on first use
-    return integrate(rt, r0, theta0, step, t_end)
+    step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
+    r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
+    a = reconstruct(rt)
+    xs, ys = _step_linear(lambda h: _exact_increment(a, h),
+                          (r0 * math.cos(theta0), r0 * math.sin(theta0)), step, t_end)
+    return Trajectory(_sample_times(step, t_end), xs, ys, step, "exact")
 
 
 # ---------------------------------------------------------------------------

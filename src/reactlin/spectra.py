@@ -246,7 +246,10 @@ class TransientSummary:
     reactive_set is the open arc of angles where R > 0, stored as
     (lo, hi) with hi possibly beyond pi so the arc stays contiguous
     (consumers reduce mod pi on read); None when the set is empty, and
-    a full period (lo, lo + pi) when R > 0 everywhere.
+    a full period (lo, lo + pi) when R > 0 everywhere.  rho1 and rho2 are
+    the rounded extremes m_R +- p; the flags and the classification take
+    their signs from the ortho case (see transient_summary), so
+    is_reactive holds exactly when reactive_set is not None.
     """
 
     rho1: float
@@ -258,12 +261,24 @@ class TransientSummary:
 
 
 def transient_summary(rt: RTParams) -> TransientSummary:
-    """Reactivity, attenuation, reactive arc and orbit classification."""
+    """Reactivity, attenuation, reactive arc and orbit classification.
+
+    The ortho case (p vs |m_R|, tie band included) decides every sign of
+    R: R > 0 somewhere (is_reactive, a reactive attractor, a reactive_set)
+    and R < 0 somewhere (is_attenuating, an attenuating repeller).  Inside
+    the band the extreme of R that meets zero counts as 0, whatever the
+    sign of the rounded rho1 or rho2: a tie with m_R < 0 is not reactive,
+    and one with m_R > 0 is not attenuating.
+    """
     m_r, m_t, p = rt.m_r, rt.m_t, rt.p
-    rho1, rho2 = rt.rho1, rt.rho2
     eig, p_r, _ = _eigen_case(m_r, m_t, p)
     ortho, _, delta_r = _ortho_case(m_r, m_t, p)
     eig_tol = CASE_RTOL * _scale(m_r, m_t, p)
+    # R crosses zero, or keeps one sign (at most touching zero), or is 0
+    crosses = ortho is DistinctRealOrtho
+    one_sign = ortho is NoRealOrtho or ortho is RepeatedOrtho
+    is_reactive = crosses or (one_sign and m_r > 0)
+    is_attenuating = crosses or (one_sign and m_r < 0)
 
     if eig is DistinctRealEigen:
         lam1, lam2 = m_r + p_r, m_r - p_r
@@ -278,37 +293,37 @@ def transient_summary(rt: RTParams) -> TransientSummary:
     elif lam1 < 0 and lam2 < 0:
         cls = (
             Classification.REACTIVE_ATTRACTOR
-            if rho1 > 0
+            if is_reactive
             else Classification.NONREACTIVE_ATTRACTOR
         )
     elif lam1 > 0 and lam2 > 0:
         cls = (
             Classification.ATTENUATING_REPELLER
-            if rho2 < 0
+            if is_attenuating
             else Classification.NONATTENUATING_REPELLER
         )
     else:
         cls = Classification.SADDLE
 
-    if ortho is DistinctRealOrtho:
+    if not is_reactive:
+        arc = None
+    elif crosses:
         lo = _norm_mod_pi(rt.theta_r.value + -delta_r)
         arc = (lo, lo + 2.0 * delta_r)
-    elif ortho is RepeatedOrtho and m_r > 0:
-        # R touches zero from above: all but phi0 (from below nothing is reactive).
+    elif ortho is RepeatedOrtho:
+        # R touches zero from above: all but phi0.
         lo = _norm_mod_pi(rt.theta_r.value + math.pi / 2)
         arc = (lo, lo + math.pi)
-    elif ortho is NoRealOrtho and rho2 > 0:  # R single-signed and positive
+    else:  # R > 0 everywhere
         arc = (0.0, math.pi)
-    else:
-        arc = None
 
     return TransientSummary(
-        rho1=rho1,
-        rho2=rho2,
+        rho1=rt.rho1,
+        rho2=rt.rho2,
         reactive_set=arc,
         classification=cls,
-        is_reactive=rho1 > 0,
-        is_attenuating=rho2 < 0,
+        is_reactive=is_reactive,
+        is_attenuating=is_attenuating,
     )
 
 

@@ -8,9 +8,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from reactlin import AngleModPi, Mat2, RTParams, decompose, eigen_structure, ortho_structure
+from reactlin import (AngleModPi, Mat2, RTParams, decompose, eigen_structure, ortho_structure,
+                      reconstruct)
 from reactlin.cli import main
 from reactlin.spectra import (
+    CASE_RTOL,
     AllOrtho,
     ComplexPairEigen,
     DistinctRealEigen,
@@ -175,6 +177,51 @@ def test_structure_blocks_are_the_records(capsys, schema, entries, eigen_kind, o
         want.update((key, v.value if isinstance(v, AngleModPi) else v)
                     for key, v in fields if v is not None)
         assert list(report[block].items()) == list(want.items())
+
+
+# Each tie band as (m_R, x) from drawn midlines: p ties with x there.
+TIE_BANDS = {
+    "p = |m_T|": lambda m_r, m_t: (m_r, abs(m_t)),
+    "p = |m_R|, m_R < 0": lambda m_r, m_t: (-abs(m_r), abs(m_r)),
+    "p = |m_R|, m_R > 0": lambda m_r, m_t: (abs(m_r), abs(m_r)),
+    "det A = 0": lambda m_r, m_t: (m_r, math.hypot(m_r, m_t)),
+    "p = 0": lambda m_r, m_t: (m_r, 0.0),
+}
+
+
+def _band_inputs(rng):
+    """(band, matrix entries) with p = |x + e| for each band of TIE_BANDS,
+    e = +-k CASE_RTOL times the rate scale, k from 0 to 1e6: both sides of
+    every band, and of its edges at k = 1."""
+    for k in (0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e3, 1e6):
+        for sign in (1.0, -1.0):
+            for _ in range(4):
+                m_r, m_t = (float(v) for v in rng.uniform(0.1, 3.0, 2) * rng.choice((-1.0, 1.0), 2))
+                theta = AngleModPi(float(rng.uniform(0.0, math.pi)))
+                for band, tie in TIE_BANDS.items():
+                    mr, x = tie(m_r, m_t)
+                    p = abs(x + sign * k * CASE_RTOL * (abs(mr) + abs(m_t) + x))
+                    a = reconstruct(RTParams(mr, m_t, p, theta if p > 0.0 else None))
+                    yield band, [repr(v) for v in (a.a11, a.a12, a.a21, a.a22)]
+
+
+def test_tie_bands_report_one_rule(capsys, schema, rng):
+    # every input is analyzed (exit 0, a schema-valid report), and the report
+    # agrees with itself: R > 0 somewhere exactly when there is a reactive set,
+    # and the amplification block exactly for a reactive attractor
+    seen = set()
+    validator = jsonschema.validators.validator_for(schema)(schema)  # checked once
+    for band, entries in _band_inputs(rng):
+        code, out, err = run_cli(capsys, "analyze", "--", *entries)
+        assert code == 0, (band, entries, err)
+        report = json.loads(out)
+        validator.validate(report)
+        transient = report["transient"]
+        assert transient["is_reactive"] == ("reactive_set" in transient), (band, entries)
+        reactive_attractor = transient["classification"] == "reactive_attractor"
+        assert ("amplification" in report) == reactive_attractor, (band, entries)
+        seen.add((band, transient["classification"]))
+    assert len(seen) >= 12  # the draws reach the classes on both sides of the bands
 
 
 class TestPortrait:
@@ -448,15 +495,14 @@ class TestDiagnostics:
 
 class TestColdPath:
     """The analytic commands must import neither numpy nor the integrators
-    (dynamics, _polar), nor dataclasses and inspect; start-up is their whole
-    cost."""
+    (dynamics), nor dataclasses and inspect; start-up is their whole cost."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"
         "import reactlin, reactlin.cli\n"
         "def loaded():\n"
-        "    print(*(m in sys.modules for m in ('numpy', 'reactlin.dynamics', 'reactlin._polar',"
-        " 'dataclasses', 'inspect')), sep=',')\n"
+        "    print(*(m in sys.modules for m in ('numpy', 'reactlin.dynamics', 'dataclasses',"
+        " 'inspect')), sep=',')\n"
         "loaded()\n"
         "for argv in {cases!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -465,7 +511,7 @@ class TestColdPath:
     )
 
     def run_fresh(self, cases):
-        """numpy, dynamics, _polar, dataclasses, inspect loaded: after the
+        """numpy, dynamics, dataclasses, inspect loaded: after the
         import, then after each case."""
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.format(cases=cases)],
@@ -481,7 +527,7 @@ class TestColdPath:
             ["portrait", "--n", "16", "--", "-1", "-8", "0", "-3"],
             ["synthesize", "deltas", "--delta-r", "0.39", "--delta-t", "0.39", "--rho", "1"],
         ]
-        assert self.run_fresh(cases) == ["False,False,False,False,False"] * (len(cases) + 1)
+        assert self.run_fresh(cases) == ["False,False,False,False"] * (len(cases) + 1)
 
     def test_trajectory_loads_numpy(self):
         cases = [
@@ -493,8 +539,8 @@ class TestColdPath:
         script = "import sys, numpy; print('inspect' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               check=True, timeout=60)
-        after = f"True,True,False,False,{proc.stdout.strip()}"
-        assert self.run_fresh(cases) == ["False,False,False,False,False"] + [after] * 2
+        after = f"True,True,False,{proc.stdout.strip()}"
+        assert self.run_fresh(cases) == ["False,False,False,False"] + [after] * 2
 
     # The package's public names before the integrators were loaded lazily.
     PUBLIC = [

@@ -18,6 +18,7 @@ from reactlin import (
     DistinctRealOrtho,
     InapplicableError,
     Mat2,
+    NoRealOrtho,
     RepeatedOrtho,
     decompose,
     eigen_structure,
@@ -84,9 +85,14 @@ def reference_verdict(a: Mat2, kind: StandardFormKind) -> bool:
 
 
 def reference_summary(rt: RTParams) -> tuple:
-    """The transient summary's fields, classified from the two structure records."""
+    """The transient summary's fields, classified from the two structure
+    records; the ortho record alone decides whether R is positive or
+    negative somewhere."""
     eig, ortho = eigen_structure(rt), ortho_structure(rt)
     tol = CASE_RTOL * _scale(rt.m_r, rt.m_t, rt.p)
+    one_sign = isinstance(ortho, (NoRealOrtho, RepeatedOrtho))
+    reactive = isinstance(ortho, DistinctRealOrtho) or (one_sign and rt.m_r > 0)
+    attenuating = isinstance(ortho, DistinctRealOrtho) or (one_sign and rt.m_r < 0)
     if isinstance(eig, DistinctRealEigen):
         lam1, lam2 = eig.lambda1, eig.lambda2
     else:
@@ -96,10 +102,10 @@ def reference_summary(rt: RTParams) -> tuple:
     elif min(abs(lam1), abs(lam2)) <= tol:
         cls = Classification.CENTER if isinstance(eig, ComplexPairEigen) else Classification.DEGENERATE
     elif lam1 < 0 and lam2 < 0:
-        cls = (Classification.REACTIVE_ATTRACTOR if rt.rho1 > 0
+        cls = (Classification.REACTIVE_ATTRACTOR if reactive
                else Classification.NONREACTIVE_ATTRACTOR)
     elif lam1 > 0 and lam2 > 0:
-        cls = (Classification.ATTENUATING_REPELLER if rt.rho2 < 0
+        cls = (Classification.ATTENUATING_REPELLER if attenuating
                else Classification.NONATTENUATING_REPELLER)
     else:
         cls = Classification.SADDLE
@@ -107,11 +113,11 @@ def reference_summary(rt: RTParams) -> tuple:
         arc = (ortho.phi1.value, ortho.phi1.value + 2.0 * ortho.delta_r)
     elif isinstance(ortho, RepeatedOrtho) and rt.m_r > 0:
         arc = (ortho.phi0.value, ortho.phi0.value + math.pi)
-    elif not isinstance(ortho, (AllOrtho, RepeatedOrtho)) and rt.rho2 > 0:
+    elif isinstance(ortho, NoRealOrtho) and rt.m_r > 0:
         arc = (0.0, math.pi)
     else:
         arc = None
-    return rt.rho1, rt.rho2, arc, cls, rt.rho1 > 0, rt.rho2 < 0
+    return rt.rho1, rt.rho2, arc, cls, reactive, attenuating
 
 
 def _hex(x):
