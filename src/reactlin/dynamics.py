@@ -3,9 +3,11 @@
 Every integrator steps a fixed linear map, x <- x + E x (_step_linear).
 On a linear field one classical RK4 step is the matrix
 P(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, and the exact step is
-e^{Ah}; either way the integrators precompute the first 256 powers of
-the step matrix, step only every 256th state in sequence and fill the
-states between with one batched product, x_{b+j} = x_b + (P^j - I) x_b.
+e^{Ah}; either way the integrators tabulate the first 256 powers of
+the step matrix in closed form (with P - I = mu I + N and N^2 = q I,
+P^j is e^{jl} times a cosh/sinh or cos/sin pair in j), step only every
+256th state in sequence and fill the states between with one batched
+product, x_{b+j} = P^j x_b.
 integrate_linear takes RK4's step, with the closed-form matrix
 exponential (core.matrix_exponential, re-exported here) as its
 independent oracle.  integrate_polar samples the exact flow of the
@@ -132,7 +134,8 @@ def _grid(step: float, t_end: float) -> tuple[int, float]:
 def _sample_times(step: float, t_end: float) -> np.ndarray:
     import numpy as np
     n_full, rem = _grid(step, t_end)
-    ts = np.arange(n_full + 1) * step
+    ts = np.arange(n_full + 1.0)
+    ts *= step
     return np.append(ts, t_end) if rem else ts
 
 
@@ -246,48 +249,78 @@ def _gain_bound(e11, e12, e21, e22) -> float:
 
 
 def _powers(e11, e12, e21, e22):
-    """Entries of P^j - I for j = 1..m, given those of E = P - I.
+    """The power table of P = I + E, and the step between block starts.
 
-    Returns d of shape (2, m, 2) with d[:, j - 1, :] = P^j - I, so a state
-    x gives the next m states as x + d @ x, one column per step.  The
-    powers come by doubling with (I + D_a)(I + D_b) - I =
-    D_a + D_b + D_a D_b, which keeps the identity out of every entry, as
-    in _rk4_increment.
+    Returns (table, d) with table[:, :, j] = P^j for j = 0..m-1, shape
+    (2, 2, m), so a state x gives the m states from it as table @ x, and
+    d = (d11, d12, d21, d22), the entries of P^m - I.  With E = mu I + N
+    and N traceless, N^2 = q I, so P^j - I = f_j I + s_j N in closed form,
+    over every j at once: with l = log(det P) / 2, s_j is
+    e^{jl} sinh(jk) / sqrt q, k = atanh(sqrt q / (1 + mu)), for q > 0,
+    e^{jl} sin(j phi) / sqrt(-q), phi = atan2(sqrt(-q), 1 + mu), for
+    q < 0, and j e^{jl} / (1 + mu) for q = 0.  f_j keeps the identity
+    out, as core._exp_split does: expm1(jl) plus e^{jl} times
+    2 sinh^2(jk/2), -2 sin^2(j phi/2) or 0, and for q > 0 the factor
+    g = e^{j(l + k)} is taken out, so a stiff P cannot overflow.
 
-    m is _BLOCK, or less where a longer block would lose accuracy:
-    x + D x rounds with an error of about eps (1 + |D|) |x|, at most
-    (1 + |D|_F) |I + D|_F / |det(I + D)| times eps |(I + D) x|, and the
-    block ends before that gain exceeds _MAX_ERROR_GAIN.  Uncapped, a
-    state that shrinks by many orders within a block (a coarse step on
-    a fast decay) would keep only the absolute accuracy of the block's
-    first state, where one-at-a-time stepping keeps it relative, and a
-    power that overflows would turn a zero state component into nan.
-    m = 1 is one-at-a-time stepping.  Where the scalar certificate
+    m is _BLOCK, or less where a longer block would lose accuracy: the
+    fill P^j x rounds with an error of about eps |P^j| |x|, at most
+    sqrt 2 times the gain (1 + |D|_F) |I + D|_F / |det(I + D)|,
+    D = P^j - I, times eps |P^j x|, and the block ends before that gain
+    exceeds _MAX_ERROR_GAIN.  Uncapped, a state that shrinks by many
+    orders within a block (a coarse step on a fast decay) would keep
+    only the absolute accuracy of the block's first state, where
+    one-at-a-time stepping keeps it relative, and a power that overflows
+    would turn a zero state component into nan.  m = 1 is one-at-a-time
+    stepping, with d = E itself; so is a P with a real eigenvalue <= 0,
+    which has no real logarithm.  Where the scalar certificate
     _gain_bound already holds every gain under _MAX_ERROR_GAIN, as on
     fine steps, the block is whole and no power's gain is formed.
     """
     import numpy as np
-    d = np.empty((_BLOCK, 2, 2))
-    d[0] = (e11, e12), (e21, e22)
+    mu, n11 = 0.5 * (e11 + e22), 0.5 * (e11 - e22)
+    q, b = n11 * n11 + e12 * e21, 1.0 + mu
+    w, det1 = math.sqrt(abs(q)), (e11 + e22) + (e11 * e22 - e12 * e21)  # det P - 1
+    if not (det1 > -1.0 and (q < 0.0 or b > w)):  # an eigenvalue <= 0, or nan
+        return np.eye(2).reshape(2, 2, 1), (e11, e12, e21, e22)
+    j = np.arange(_BLOCK + 1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m = 1
-        while m < _BLOCK:
-            last, low = d[m - 1], d[:m]
-            d[m:2 * m] = (last + low) + last @ low
-            m *= 2
-        if _gain_bound(e11, e12, e21, e22) <= _MAX_ERROR_GAIN:
-            return np.ascontiguousarray(d.transpose(1, 0, 2))
-        d11, d12, d21, d22 = d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1]
-        p11, p22 = 1.0 + d11, 1.0 + d22
-        gain = (
-            (1.0 + np.sqrt(d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22))
-            * np.sqrt(p11 * p11 + d12 * d12 + d21 * d21 + p22 * p22)
-            / np.abs(p11 * p22 - d12 * d21)
-        )
-    too_big = ~(gain <= _MAX_ERROR_GAIN)  # nan included
-    if too_big.any():
-        d = d[:max(1, int(too_big.argmax()))]
-    return np.ascontiguousarray(d.transpose(1, 0, 2))
+        l = 0.5 * math.log1p(det1)
+        jl = j * l
+        if q < 0.0:
+            phi = math.atan2(w, b)
+            e = np.exp(jl)
+            s = e * np.sin(j * phi) / w
+            f = np.expm1(jl) - 2.0 * e * np.sin(j * (0.5 * phi)) ** 2
+        elif q > 0.0:
+            k = math.atanh(w / b)
+            g = np.exp(j * (l + k))
+            jk = j * -k
+            s = -0.5 * g * np.expm1(2.0 * jk) / w
+            f = np.expm1(jl) + 0.5 * g * np.expm1(jk) ** 2
+        else:
+            s = j * np.exp(jl) / b
+            f = np.expm1(jl)
+        sn = s * n11
+        d = np.array(((f + sn, s * e12), (s * e21, f - sn)))
+        m = _BLOCK
+        if not _gain_bound(e11, e12, e21, e22) <= _MAX_ERROR_GAIN:
+            (d11, d12), (d21, d22) = d
+            p11, p22 = 1.0 + d11, 1.0 + d22
+            gain = (
+                (1.0 + np.sqrt(d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22))
+                * np.sqrt(p11 * p11 + d12 * d12 + d21 * d21 + p22 * p22)
+                / np.abs(p11 * p22 - d12 * d21)
+            )
+            too_big = ~(gain <= _MAX_ERROR_GAIN)  # nan included
+            if too_big.any():
+                m = max(1, int(too_big.argmax()) - 1)
+    if m == 1:
+        return np.eye(2).reshape(2, 2, 1), (e11, e12, e21, e22)
+    table = d[:, :, :m]
+    table[0, 0] += 1.0
+    table[1, 1] += 1.0
+    return table, tuple(d[:, :, m].ravel().tolist())
 
 
 def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
@@ -295,11 +328,11 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
 
     increment(h) returns the entries of E for a step of length h; it is
     called once for the full steps and once for a partial final step.
-    The full steps go in blocks of m through D_j = P^j - I, P = I + E
+    The full steps go in blocks of m through the powers of P = I + E
     (_powers): only the block starts x_{bm} step in sequence, in floats,
-    and one batched product fills every block, x_{bm} + D_j x_{bm}, in a
-    contiguous array copied once into the output, padded to whole blocks
-    and trimmed by a view.
+    by x + (P^m - I) x, because their rounding compounds, and one batched
+    product fills every block, x_{bm + j} = P^j x_{bm}, straight into the
+    output, padded to whole blocks and trimmed by a view.
     """
     try:
         x, y = x0
@@ -311,22 +344,18 @@ def _step_linear(increment, x0: tuple[float, float], step: float, t_end: float):
     n_full, rem = _grid(step, t_end)
     from array import array
     import numpy as np
-    d = _powers(*increment(step)) if n_full else np.zeros((2, 1, 2))  # x0 alone
-    m = d.shape[1]
-    (d11, d12), (d21, d22) = d[:, -1].tolist()
+    # with no full step, P = I steps nowhere and only x0 is kept
+    table, (d11, d12, d21, d22) = _powers(*(increment(step) if n_full else (0.0,) * 4))
+    m = table.shape[2]
     starts = array("d", (x, y))
     for _ in range(n_full // m):
         x, y = x + (d11 * x + d12 * y), y + (d21 * x + d22 * y)
         starts.extend((x, y))
     starts = np.frombuffer(starts).reshape(-1, 2)
     xs = np.empty((2, len(starts) * m + 1))
-    blocks = xs[:, :-1].reshape(2, len(starts), m)
     # an overflow ends as inf or nan in the last state, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks[:, :, 0] = starts.T
-        fill = np.matmul(starts, d[:, :-1].transpose(0, 2, 1))
-        fill += starts.T[:, :, None]
-        blocks[:, :, 1:] = fill
+        np.matmul(starts, table, out=xs[:, :-1].reshape(2, len(starts), m))
         if rem:
             e11, e12, e21, e22 = increment(rem)
             x, y = xs[:, n_full].tolist()
@@ -359,11 +388,15 @@ def integrate_polar(
     in blocks, like integrate_linear's, with the exact step
     E = e^{Ah} - I (_exact_increment) in place of RK4's.  Samples are
     returned in Cartesian form, so Trajectory.theta, rebuilt from them,
-    starts at theta0 reduced into (-pi, pi].
+    starts at theta0 reduced into (-pi, pi].  An rt whose matrix
+    overflows raises NumericFailureError.
     """
     step, t_end = _real("step", step, positive=True), _real("t_end", t_end, positive=True)
     r0, theta0 = _real("r0", r0, positive=True), _real("theta0", theta0)
-    a = reconstruct(rt)
+    try:
+        a = reconstruct(rt)
+    except InvalidInputError:  # an entry overflowed
+        raise NumericFailureError(f"the matrix of rt = {rt!r} overflows") from None
     xs, ys = _step_linear(lambda h: _exact_increment(a, h),
                           (r0 * math.cos(theta0), r0 * math.sin(theta0)), step, t_end)
     return Trajectory(_sample_times(step, t_end), xs, ys, step, "exact")

@@ -35,6 +35,7 @@ from reactlin.dynamics import (
     _BLOCK,
     _MAX_ERROR_GAIN,
     _corotating_increment,
+    _exact_increment,
     _gain_bound,
     _grid,
     _powers,
@@ -112,6 +113,12 @@ def sequential_gap(xs, ys, x0, increments):
     return (gap / np.hypot(ref[:, 0], ref[:, 1])).max()
 
 
+def error_gain(d):
+    """(1 + |D|_F) |I + D|_F / |det(I + D)|, the gain _powers bounds for D = P^j - I."""
+    p = np.eye(2) + d
+    return (1.0 + np.linalg.norm(d)) * np.linalg.norm(p) / abs(np.linalg.det(p))
+
+
 class TestBlockStepping:
     @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("n_full", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_000])
@@ -146,11 +153,12 @@ class TestBlockStepping:
         assert sequential_gap(traj.x1, traj.x2, x0, increments) <= 1e-12
 
     def test_scalar_certificate_keeps_the_powers(self, rng, monkeypatch):
-        # _powers returns the same array, bit for bit, whether the scalar
-        # certificate holds the whole block or every power's gain is formed:
-        # fine steps (certified), A_SPIRAL at h = 1e-3 (h speed 7e-3: whole
-        # but not certified), a coarse step on a fast decay whose block must
-        # shorten, and a step whose high powers overflow
+        # _powers returns the same table and block-start step, bit for bit,
+        # whether the scalar certificate holds the whole block or every
+        # power's gain is formed: fine steps (certified), A_SPIRAL at
+        # h = 1e-3 (h speed 7e-3: whole but not certified), a coarse step on
+        # a fast decay whose block must shorten, and a step whose high powers
+        # overflow
         fine = [(a, 1e-3 / max_speed(a)) for a in [A_SPIRAL, A_TRIANGULAR] + [random_mat2(rng) for _ in range(20)]]
         table = [(a, h, True, True) for a, h in fine] + [
             (A_SPIRAL, 1e-3, False, True),
@@ -161,12 +169,75 @@ class TestBlockStepping:
         for a, h, certified, whole in table:
             e = _rk4_increment(a.a11, a.a12, a.a21, a.a22, h)
             assert (_gain_bound(*e) <= _MAX_ERROR_GAIN) is certified
-            got = _powers(*e)
+            got, got_step = _powers(*e)
             with monkeypatch.context() as patch:
                 patch.setattr(dynamics, "_gain_bound", lambda *_: math.inf)
-                want = _powers(*e)
+                want, want_step = _powers(*e)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert (got.shape[1] == _BLOCK) is whole
+            assert got_step == want_step
+            assert (got.shape[2] == _BLOCK) is whole
+            if not whole:  # the block ends at the last power whose gain is small enough
+                d = np.array(got_step).reshape(2, 2)
+                d_next = (np.eye(2) + d) @ (np.eye(2) + np.reshape(e, (2, 2))) - np.eye(2)
+                assert error_gain(d) <= _MAX_ERROR_GAIN < error_gain(d_next)
+
+    @pytest.mark.parametrize(
+        "increment, sign_q",
+        [
+            (_rk4_increment(-1.0, -8.0, 0.0, -3.0, 1e-3 / 9.0), 1.0),  # A_TRIANGULAR: real P
+            (_rk4_increment(0.7, -4.0, 4.0, -4.7, 1e-3 / 5.7), -1.0),  # A_SPIRAL: complex P
+            (_rk4_increment(2.0, 1.0, 0.0, 2.0, 1e-3 / 2.5), 0.0),  # defective P, q == 0 exactly
+            (_exact_increment(Mat2(-2.0, 1.0, 2.0, 1.0), 1e-2 / 3.0), 1.0),  # A_SADDLE, e^{Ah}
+        ],
+        ids=["q>0", "q<0", "q==0", "exact-q>0"],
+    )
+    def test_power_table_against_exact_powers(self, increment, sign_q):
+        # P^j = I + f_j I + s_j N in closed form, against the powers of the
+        # float P = I + E at 50 digits: every table entry is within 8 eps of
+        # the largest |P^j|, and the step between block starts, P^m - I,
+        # within 8 eps of the largest |P^j - I|, since its rounding compounds
+        # over the blocks (measured: 4.8 and 3.8 eps at most over 300 random
+        # RK4 and exact increments)
+        mpmath = pytest.importorskip("mpmath")
+        e11, e12, e21, e22 = increment
+        assert np.sign((0.5 * (e11 - e22)) ** 2 + e12 * e21) == sign_q  # the case of _powers
+        table, step = _powers(*increment)
+        m = table.shape[2]
+        assert m > 1
+        with mpmath.workdps(50):
+            mp = mpmath.mpf
+            p = mpmath.matrix([[1 + mp(e11), mp(e12)], [mp(e21), 1 + mp(e22)]])
+            powers = [mpmath.eye(2)]
+            for _ in range(m):
+                powers.append(powers[-1] * p)
+            d_m = powers[m] - mpmath.eye(2)
+            table_gap = max(abs(mp(table[r, c, j]) - powers[j][r, c])
+                            for j in range(m) for r in range(2) for c in range(2))
+            step_gap = max(abs(mp(step[2 * r + c]) - d_m[r, c]) for r in range(2) for c in range(2))
+            largest_p = max(abs(v) for pw in powers[:m] for v in pw)
+            largest_d = max(abs(v) for pw in powers for v in pw - mpmath.eye(2))
+            eps = 2.0 ** -52
+            assert table_gap <= 8 * eps * largest_p
+            assert step_gap <= 8 * eps * largest_d
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            (-1.5, 0.3, 0.1, -0.2),  # P = [[-0.5, 0.3], [0.1, 0.8]]: eigenvalues -0.52, 0.82
+            (-1.5, 0.3, 0.1, -1.8),  # P = [[-0.5, 0.3], [0.1, -0.8]]: -0.42, -0.88, det P > 0
+        ],
+        ids=["det<0", "det>0"],
+    )
+    def test_negative_eigenvalue_steps_one_at_a_time(self, e):
+        # a P with a real eigenvalue below 0 has no real logarithm; a step far
+        # beyond the stability limit can give one.  The block is one step,
+        # and the run is one-at-a-time stepping bit for bit
+        table, step = _powers(*e)
+        assert table.shape == (2, 2, 1) and np.array_equal(table[:, :, 0], np.eye(2))
+        assert step == e
+        x0 = (0.6, -0.8)
+        xs, ys = _step_linear(lambda _h: e, x0, 0.1, 1000 * 0.1)
+        assert sequential_gap(xs, ys, x0, [e] * 1000) == 0.0
 
     def test_trajectory_shapes_take_the_scalar_certificate(self, rng):
         # steps of 1e-3 over the largest rate scale, spin rates up to that
@@ -177,6 +248,30 @@ class TestBlockStepping:
             k = float(rng.uniform(-1.0, 1.0)) * scale
             assert _gain_bound(*_rk4_increment(a.a11, a.a12, a.a21, a.a22, 1e-3 / scale)) <= _MAX_ERROR_GAIN
             assert _gain_bound(*_corotating_increment(a, k, 1e-3 / (scale + abs(k)))) <= _MAX_ERROR_GAIN
+
+    @pytest.mark.parametrize("name", ["integrate_linear", "integrate_polar", "integrate_nonaut"])
+    def test_working_set_stays_at_its_measured_peak(self, name):
+        # MAX_GRID_STEPS prices a call at a few arrays of a float per sample.
+        # A 1e4-step run on the spiral peaks at 3.06 of them for
+        # integrate_linear and integrate_polar (the states and the sample
+        # times) and at 9.21 for integrate_nonaut, which also turns its
+        # states back from the co-rotating frame
+        import tracemalloc
+        n, step = 10_000, 1e-3 / 5.7
+        call, bound = {
+            "integrate_linear": (lambda: integrate_linear(A_SPIRAL, (1.0, 0.3), step, n * step), 3.5),
+            "integrate_polar": (lambda: integrate_polar(decompose(A_SPIRAL), 1.0, 0.3, step, n * step), 3.5),
+            "integrate_nonaut": (
+                lambda: integrate_nonaut(NonautConfig(A_SPIRAL, -2.0), (1.0, 0.3), step, n * step), 9.5),
+        }[name]
+        call()  # first-call imports come first
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * (n + 1)
 
     def test_fast_growth_leaves_other_component_exact(self):
         # one step grows x1 2.2-fold: P^1024 and higher powers overflow,
@@ -456,7 +551,7 @@ class TestIntegratePolar:
         assert traj.theta[0] == pytest.approx(10.0 - 4.0 * math.pi, abs=1e-15)
         assert np.abs(np.diff(traj.theta)).max() < 0.1
 
-    def test_matches_exact_rk4(self, rng):
+    def test_matches_the_exact_flow_to_rounding(self, rng):
         # the exact flow, from mpmath's expm at 40 digits: what the float
         # stepping adds is rounding alone, 2000 steps plus a partial one
         for a in [A_SPIRAL, A_SADDLE, random_mat2(rng), random_mat2(rng)]:
@@ -497,19 +592,12 @@ class TestIntegratePolar:
             gap = np.hypot(cart.x1 - pol.x1, cart.x2 - pol.x2)
             assert (gap / cart.r).max() <= 1e-6
 
-    def test_working_set_stays_about_a_dozen_step_arrays(self):
-        # MAX_GRID_STEPS prices a call at a few arrays of a float per sample;
-        # a 1e4-step run on the spiral peaks at 5.1 of them
-        import tracemalloc
-        rt, n, step = decompose(A_SPIRAL), 10_000, 1e-3 / 5.7
-        integrate_polar(rt, 1.0, 0.3, step, n * step)  # first-call imports come first
-        tracemalloc.start()
-        try:
-            integrate_polar(rt, 1.0, 0.3, step, n * step)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * (n + 1)
+    def test_unrepresentable_matrix_is_numeric_failure(self):
+        # finite parameters whose matrix overflows: the error is about the
+        # run, not an argument the caller never passed
+        rt = RTParams(1e308, 1e308, 1e308, AngleModPi(0.3))
+        with pytest.raises(NumericFailureError, match="rt"):
+            integrate_polar(rt, 1.0, 0.0, 1e-3, 1.0)
 
     def test_overflow_is_numeric_failure(self):
         with pytest.raises(NumericFailureError):
@@ -547,14 +635,14 @@ class TestPolarAngleSolve:
     """integrate_polar over long runs, coarse steps and states near the ends
     of the float range, against the exact flow (check_exact_flow)."""
 
-    def test_long_runs_are_solved_whole(self):
+    def test_1e5_step_runs_keep_to_the_exact_flow(self):
         # 1e5 steps, ten times the stagewise test's: each step's rounding,
         # not any per-step error of the method, sets the gap
         for a in (A_SPIRAL, A_TRIANGULAR):
             step = 1e-3 / max_speed(a)
             check_exact_flow(decompose(a), 1.0, 0.4, step, 100_000, 1e-13)
 
-    def test_coarse_steps_take_the_loop(self):
+    def test_coarse_steps_go_one_at_a_time_and_stay_exact(self):
         # at h speed = 2 every power of the step gains too much error, so
         # the states step one at a time, and each step is still exact
         for a in (A_SPIRAL, A_TRIANGULAR):
